@@ -2,7 +2,8 @@
 
 Exit codes follow the decision convention: 0 = exists / verified,
 1 = does not exist / verification failed, 2 = unknown or inconclusive,
-10 = usage error, 11 = runtime error (bad file, limit exceeded, ...).
+10 = usage error, 11 = runtime error (bad file, limit exceeded, failed
+self-check, ...).
 """
 
 import argparse
@@ -57,8 +58,6 @@ class CliConfig:
     materialize_cap: int = None
     q_limit: int = DEFAULT_Q_LIMIT
     d_limit: int = DEFAULT_D_LIMIT
-    seed: int = None
-    threads: int = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,23 +71,24 @@ def _env_int(name):
     return int(raw) if raw else None
 
 
+def _setting(args, attr, env_name, default=None):
+    """The flag if given, else the environment variable if set, else default.
+
+    Tested against None, so an explicit 0 reaches the positivity check.
+    """
+    value = getattr(args, attr, None)
+    if value is None:
+        value = _env_int(env_name)
+    return default if value is None else value
+
+
 def _config(args):
     cfg = CliConfig()
     cfg.output_format = getattr(args, "format", "text")
-    cfg.search_cap = getattr(args, "search_cap", None)
-    if cfg.search_cap is None:
-        cfg.search_cap = _env_int("MODHADAMARD_SEARCH_CAP")
-    cfg.materialize_cap = getattr(args, "materialize_cap", None)
-    if cfg.materialize_cap is None:
-        cfg.materialize_cap = _env_int("MODHADAMARD_MATERIALIZE_CAP")
-    cfg.q_limit = getattr(args, "q_limit", None) or _env_int(
-        "MODHADAMARD_Q_LIMIT"
-    ) or DEFAULT_Q_LIMIT
-    cfg.d_limit = getattr(args, "d_limit", None) or _env_int(
-        "MODHADAMARD_D_LIMIT"
-    ) or DEFAULT_D_LIMIT
-    cfg.seed = getattr(args, "seed", None)
-    cfg.threads = getattr(args, "threads", 1) or 1
+    cfg.search_cap = _setting(args, "search_cap", "MODHADAMARD_SEARCH_CAP")
+    cfg.materialize_cap = _setting(args, "materialize_cap", "MODHADAMARD_MATERIALIZE_CAP")
+    cfg.q_limit = _setting(args, "q_limit", "MODHADAMARD_Q_LIMIT", DEFAULT_Q_LIMIT)
+    cfg.d_limit = _setting(args, "d_limit", "MODHADAMARD_D_LIMIT", DEFAULT_D_LIMIT)
     for cap in (cfg.search_cap, cfg.materialize_cap, cfg.q_limit, cfg.d_limit):
         if cap is not None and cap <= 0:
             raise ValueError("caps must be positive")
@@ -237,7 +237,7 @@ def _cmd_verify_design(args):
 def _cmd_search(args):
     cfg = _config(args)
     problem = search_mod.SearchProblem(args.n, args.m, args.mode, args.goal)
-    outcome = search_mod.run(problem, threads=cfg.threads)
+    outcome = search_mod.run(problem)
     if outcome.found is not None and not verify_mh(outcome.found, args.m).verdict:
         raise RuntimeError("search witness failed re-verification")
     if cfg.output_format == "json":
@@ -445,8 +445,6 @@ def _build_parser():
     parser = _Parser(prog="modhadamard", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--seed", type=int)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
 
@@ -516,6 +514,11 @@ def main(argv=None):
         OSError,
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_ERROR
+    except (RuntimeError, AssertionError) as exc:
+        # a failed self-check (a witness or certificate that does not
+        # verify) is a fault of the program, not a "does not exist" (1)
+        print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 
 

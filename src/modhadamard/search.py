@@ -13,8 +13,8 @@ candidate set to a few thousand rows.
 """
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import gcd
 
 from .matrices import SignMatrix, verify_mh
@@ -41,6 +41,7 @@ class SearchProblem:
     m: int
     mode: str = "generic"
     goal: str = "first"
+    # column-symmetry reduction; only the "exhaust" goal uses it (see run)
     symmetry: bool = True
 
     def __post_init__(self):
@@ -67,27 +68,25 @@ class SearchOutcome:
 
 
 def candidate_rows(n, m, mode):
-    """Bit-packed rows admissible below an all-ones first row.
+    """Bit-packed rows admissible below an all-ones first row, ascending.
 
     Bit j set means -1 in column j; bit 0 is always clear (leading +1).
+    A row is admitted by its weight (number of -1 entries) alone.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if mode == "restricted":
         SearchProblem(n, m, mode="restricted")  # validate the regime
         weights = {w for w in ((n - m) // 2, (n + m) // 2) if 0 <= w <= n - 1}
-        return [
-            r << 1
-            for r in range((1 << (n - 1)))
-            if r.bit_count() in weights
-        ]
-    if mode != "generic":
+    elif mode == "generic":
+        weights = {w for w in range(n) if (n - 2 * w) % m == 0}
+    else:
         raise ValueError("unknown mode %r" % mode)
-    return [
-        r << 1
-        for r in range(1 << (n - 1))
-        if (n - 2 * (r.bit_count())) % m == 0
-    ]
+    return sorted(
+        sum(1 << j for j in cols)
+        for w in weights
+        for cols in combinations(range(1, n), w)
+    )
 
 
 def _candidate_digest(cands):
@@ -97,12 +96,35 @@ def _candidate_digest(cands):
     return h.hexdigest()
 
 
-def _solve_subtree(start, cands, compat, need, allow_repeat, goal, counter):
-    """DFS below first-level choice `start`. Returns (witness_rows, count)."""
+def _compat_mask(order, n, m):
+    """Return mask(i), the compatibility mask of order[i] over `order`.
+
+    Bit j is set when order[i] and order[j] have inner product
+    n - 2 popcount(order[i] ^ order[j]) divisible by m.  That depends on the
+    popcount alone, so the admissible popcounts are tabulated once.
+    """
+    digit = ["1" if (n - 2 * c) % m == 0 else "0" for c in range(n + 1)]
+    backwards = order[::-1]  # most significant bit first
+
+    def mask(i):
+        ci = order[i]
+        return int("".join([digit[(ci ^ c).bit_count()] for c in backwards]), 2)
+
+    return mask
+
+
+def _solve_subtree(start, cands, compat, mask, need, allow_repeat, goal, counter):
+    """DFS below first-level choice `start`. Returns (witness_rows, count).
+
+    compat[i] is the compatibility mask of candidate i, or None until
+    mask(i) builds it on the first read.
+    """
     k = len(cands)
     all_after = [(1 << k) - 1 >> (i + 1) << (i + 1) for i in range(k)]
     best = None
     count = 0
+    if compat[start] is None:
+        compat[start] = mask(start)
     # stack entries: (chosen list, allowed mask, floor index)
     stack = [([start], compat[start], start)]
     while stack:
@@ -131,17 +153,37 @@ def _solve_subtree(start, cands, compat, need, allow_repeat, goal, counter):
             picks.append(b.bit_length() - 1)
             x ^= b
         for idx in reversed(picks):
-            na = allowed & compat[idx]
-            stack.append((chosen + [idx], na, idx))
+            row = compat[idx]
+            if row is None:
+                row = compat[idx] = mask(idx)
+            stack.append((chosen + [idx], allowed & row, idx))
     return best, count
 
 
-def run(problem, threads=1, max_n=None, log_branches=False):
-    """Execute the search. Deterministic lex-least witness with symmetry on.
+def run(problem, max_n=None, log_branches=False):
+    """Execute the search.
 
-    Exhaust and count goals traverse the entire space; first stops at the
-    initial witness. Raises LimitExceeded when n is beyond the configured
-    bound for the mode.
+    goal "first" stops at the lex-least witness.  "count" traverses the
+    whole space and counts labelled row sets.  "exhaust" settles existence:
+    with symmetry off it traverses the whole space as "count" does; with
+    symmetry on (the default) it runs the reduced search below and stops at
+    its first witness, so `solutions` is 0 or 1.  Raises LimitExceeded when
+    n is beyond the configured bound for the mode.
+
+    Soundness of the reduction.  Both modes admit a row by its weight
+    alone, and two rows a, b are compatible exactly when
+    n - 2 popcount(a ^ b) vanishes modulo m.  A permutation of columns
+    1..n-1 keeps weights and popcount(a ^ b), so it maps candidates to
+    candidates, compatible pairs to compatible pairs and solutions to
+    solutions.  Take any solution and any row in it, of weight w: some such
+    permutation maps that row to the canonical row ((1 << w) - 1) << 1,
+    and the solution to one that contains it.  So a solution exists if and
+    only if one exists that contains the canonical row of some weight.  The
+    reduced search order puts the canonical rows first, one per weight
+    present, then the other candidates in ascending order.  The DFS from
+    start s enumerates exactly the sets whose smallest index in that order
+    is s, so starts 0..len(reps)-1 together cover every set that contains a
+    canonical row, each once.
     """
     n, m = problem.n, problem.m
     cap = max_n if max_n is not None else (
@@ -151,60 +193,44 @@ def run(problem, threads=1, max_n=None, log_branches=False):
         raise LimitExceeded("n=%d exceeds limit %d for %s mode" % (n, cap, problem.mode))
     cands = candidate_rows(n, m, problem.mode)
     k = len(cands)
-    need = n - 1
     outcome_log = {"candidate_digest": _candidate_digest(cands)}
-    if k == 0 or (k < 1 and need > 0):
+    if k == 0:
         return SearchOutcome(None, True, 0, 0, 0, outcome_log)
+    if problem.symmetry and problem.goal == "exhaust":
+        reps = sorted({((1 << c.bit_count()) - 1) << 1 for c in cands})
+        rest = set(cands).difference(reps)
+        order = reps + [c for c in cands if c in rest]
+        starts, goal = range(len(reps)), "first"
+    else:
+        order, starts, goal = cands, range(k), problem.goal
+    compat = [None] * k
+    mask = _compat_mask(order, n, m)
     # a row may repeat exactly when it is compatible with itself, i.e.
     # <r, r> = n vanishes at the modulus
     allow_repeat = n % m == 0
-    compat = []
-    for i in range(k):
-        ci = cands[i]
-        bits = 0
-        for j in range(k):
-            p = n - 2 * ((ci ^ cands[j]).bit_count())
-            if p % m == 0 and (i != j or allow_repeat):
-                bits |= 1 << j
-        compat.append(bits)
-    counter = [0]
+    nodes = 0
     best = None
     total = 0
     branch_records = []
-
-    def one(start):
-        c = [0]
-        r = _solve_subtree(start, cands, compat, need, allow_repeat, problem.goal, c)
-        return start, r[0], r[1], c[0]
-
-    starts = list(range(k))
-    if problem.goal == "first" or threads <= 1:
-        results = map(one, starts)
-        for start, rows, cnt, nodes in results:
-            counter[0] += nodes
-            total += cnt
-            if rows is not None and best is None:
-                best = rows
-                if problem.goal == "first":
-                    break
-            if log_branches:
-                branch_records.append({"start": start, "nodes": nodes, "solutions": cnt})
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for start, rows, cnt, nodes in pool.map(one, starts):
-                counter[0] += nodes
-                total += cnt
-                if rows is not None and best is None:
-                    best = rows
-                if log_branches:
-                    branch_records.append({"start": start, "nodes": nodes, "solutions": cnt})
+    for start in starts:
+        counter = [0]
+        rows, cnt = _solve_subtree(
+            start, order, compat, mask, n - 1, allow_repeat, goal, counter
+        )
+        nodes += counter[0]
+        total += cnt
+        if log_branches:
+            branch_records.append({"start": start, "nodes": counter[0], "solutions": cnt})
+        if rows is not None and best is None:
+            best = rows
+            if goal == "first":
+                break
     if log_branches:
         outcome_log["branches"] = branch_records
     found = None
     if best is not None:
-        rows = (0,) + tuple(cands[i] for i in best)
-        found = SignMatrix(n, rows)
+        found = SignMatrix(n, (0,) + tuple(sorted(order[i] for i in best)))
         if not verify_mh(found, m).verdict:
             raise AssertionError("search produced an invalid witness")
     exhausted = problem.goal != "first" or found is None
-    return SearchOutcome(found, exhausted, counter[0], k, total, outcome_log)
+    return SearchOutcome(found, exhausted, nodes, k, total, outcome_log)

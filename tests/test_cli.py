@@ -4,11 +4,12 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
 
-from modhadamard import cli
+from modhadamard import cli, existence, search
 
 RECIPE_SCHEMA = json.loads(
     resources.files("modhadamard.data").joinpath("recipe.schema.json").read_text()
@@ -227,6 +228,40 @@ def test_env_var_caps(capsys, monkeypatch):
     monkeypatch.setenv("MODHADAMARD_MATERIALIZE_CAP", "0")
     code, _, err = run_cli(capsys, "construct", "57", "7")
     assert code == 11
+
+
+def test_zero_limits_exit_11(capsys, monkeypatch):
+    # an explicit 0 is rejected, not replaced by the default
+    for flag in ("--q-limit", "--d-limit"):
+        code, out, err = run_cli(capsys, "condition1", "3", "1", flag, "0")
+        assert code == 11 and out == ""
+        assert "caps must be positive" in err
+    for name in ("MODHADAMARD_Q_LIMIT", "MODHADAMARD_D_LIMIT"):
+        monkeypatch.setenv(name, "0")
+        code, out, err = run_cli(capsys, "condition1", "3", "1")
+        assert code == 11 and out == ""
+        assert "caps must be positive" in err
+        monkeypatch.delenv(name)
+
+
+def test_internal_errors_exit_11(capsys, monkeypatch):
+    # a witness or certificate that fails its own re-check is a fault of
+    # the program and must not read as "does not exist" (exit 1)
+    def failing(*args):
+        return SimpleNamespace(verdict=False)
+
+    monkeypatch.setattr(cli, "verify_mh", failing)
+    code, _, err = run_cli(capsys, "search", "4", "2")
+    assert code == 11
+    assert "search witness failed re-verification" in err
+    monkeypatch.setattr(search, "verify_mh", failing)
+    code, _, err = run_cli(capsys, "search", "4", "2")
+    assert code == 11
+    assert "search produced an invalid witness" in err
+    monkeypatch.setattr(existence, "verify_mh", failing)
+    code, _, err = run_cli(capsys, "decide", "57", "7")
+    assert code == 11
+    assert "certificate failed verification" in err
 
 
 def test_console_script_installed():
