@@ -4,7 +4,7 @@ A Recipe is a small tree of seed and combinator nodes.  Every node knows
 the order and natural modulus of the matrix (or design) it denotes, both
 computed bottom-up without building anything, so recipes for
 astronomically large orders stay cheap to handle.  materialize() builds
-the actual matrix and re-verifies it.  plan() picks a recipe for a
+the actual matrix and verifies it, once.  plan() picks a recipe for a
 requested (order, modulus) pair whenever one of the known construction
 chains covers it.
 """
@@ -20,13 +20,12 @@ from .matrices import (
     DesignParams,
     IncidenceMatrix,
     SignMatrix,
+    _core,
+    _direct_sum,
+    _kron,
     all_ones,
-    core_to_design,
     design_to_mh,
-    direct_sum,
-    dsum_check,
     j_minus_2i,
-    kronecker,
     mh_modulus_of_exact_design,
     normalize,
     verify_design,
@@ -755,7 +754,10 @@ def recipe_from_json(obj, kind="mh"):
 
 
 def materialize(recipe, size_cap=None):
-    """Build the sign matrix for an mh recipe and re-verify it.
+    """Build the sign matrix for an mh recipe and verify it.
+
+    This is the one Gram check of the built matrix: no recipe node checks
+    its intermediate results, and a failure raises RuntimeError.
 
     Raises CapExceeded when the packed matrix would not fit in size_cap
     bytes (default 64 MiB), and MaterializeError when the tree contains a
@@ -791,17 +793,14 @@ def materialize_design(recipe):
     raise ValueError("unknown design node %r" % recipe.node)
 
 
-def _extension_round(mat, m, comp_mat, comp_params):
-    base = normalize(mat)
-    core, core_params = core_to_design(base, m)
-    comp = DesignParams(comp_params.v, comp_params.k, comp_params.lam, m)
-    if not dsum_check(core_params, comp):
-        raise RuntimeError("direct-sum residue check failed while materializing")
-    joined = direct_sum(core, core_params, comp_mat, comp)
-    return design_to_mh(joined)
+def _extension_round(mat, comp_mat):
+    # iterate() and direct_sum_with_design() checked the companion's
+    # residues against the base order mod m, which every round keeps
+    return design_to_mh(_direct_sum(_core(normalize(mat)), comp_mat))
 
 
 def _build(recipe):
+    """The recipe's matrix, unchecked: materialize() verifies the result."""
     node = recipe.node
     if node == "AllOnes":
         return all_ones(recipe.args[0])
@@ -815,24 +814,19 @@ def _build(recipe):
         return design_to_mh(catalog_design(recipe.args[0])[0])
     if node == "Kron":
         a, b = recipe.children
-        mat, m = kronecker(_build(a), a.modulus, _build(b), b.modulus)
-        if m != recipe.modulus:
-            raise RuntimeError("kronecker modulus drifted from the recipe")
-        return mat
+        return _kron(_build(a), _build(b))
     if node == "Double":
         (a,) = recipe.children
-        h2 = SignMatrix(2, (0, 2))
-        return kronecker(_build(a), a.modulus, h2, 0)[0]
+        return _kron(_build(a), SignMatrix(2, (0, 2)))
     if node == "DirectSumWithDesign":
         base, design = recipe.children
-        comp_mat, comp_params = materialize_design(design)
-        return _extension_round(_build(base), recipe.modulus, comp_mat, comp_params)
+        return _extension_round(_build(base), materialize_design(design)[0])
     if node == "Iterate":
         base, design = recipe.children
-        comp_mat, comp_params = materialize_design(design)
+        comp_mat = materialize_design(design)[0]
         mat = _build(base)
         for _ in range(recipe.args[0]):
-            mat = _extension_round(mat, recipe.modulus, comp_mat, comp_params)
+            mat = _extension_round(mat, comp_mat)
         return mat
     raise ValueError("unknown recipe node %r" % node)
 
@@ -966,17 +960,23 @@ def _plan_mod5(n):
     return None
 
 
+# m = 7 chain gates, quoted by existence.threshold_note
+_MENON_CHAIN_START = 43
+_PALEY11_CHAIN_STARTS = {48: 0, 34: 1, 20: 2, 6: 3, 76: 4, 62: 5}
+_CLASS_2_MOD_7_BOUND = 52565
+_CLASS_10_MOD_14_BOUND = 683294
+
+
 def _plan_mod7(n):
     r14 = n % 14
     if r14 == 1:
-        if n < 43:
+        if n < _MENON_CHAIN_START:
             return None
-        k = (n - 43) // 14
+        k = (n - _MENON_CHAIN_START) // 14
         base = double(seed_j_minus_2i(7 * k + 4))
         return direct_sum_with_design(base, "menon_36_15_6", 7)
     if r14 == 6:
-        starts = {48: 0, 34: 1, 20: 2, 6: 3, 76: 4, 62: 5}
-        l = starts[n % 84]
+        l = _PALEY11_CHAIN_STARTS[n % 84]
         if n < 48 + 70 * l:
             return None
         k = (n - 48 - 70 * l) // 84
@@ -990,7 +990,7 @@ def _plan_mod7(n):
             return None if half is None else double(half)
         return None
     if r14 == 9:
-        gate = 52565 if n % 28 == 9 else 52495
+        gate = _CLASS_2_MOD_7_BOUND if n % 28 == 9 else 52495
         if n < gate:
             return None
         base = plan(n - 52479, 7)
@@ -998,7 +998,7 @@ def _plan_mod7(n):
             return None
         return direct_sum_with_design(base, seed_param_design(*_FAMILY12_PARAMS), 7)
     if r14 == 10:
-        if n < 683294:
+        if n < _CLASS_10_MOD_14_BOUND:
             return None
         shifts = {0: (0, 0), 42: (1, 0), 70: (0, 1), 28: (1, 1), 56: (0, 2), 14: (1, 2)}
         a, b = shifts[(n - 24) % 84]

@@ -12,13 +12,17 @@ from math import gcd, isqrt
 
 from . import search as search_mod
 from .constructions import (
+    _CLASS_2_MOD_7_BOUND,
+    _CLASS_10_MOD_14_BOUND,
+    _MENON_CHAIN_START,
+    _PALEY11_CHAIN_STARTS,
     CapExceeded,
     family10_params,
     materialize,
     plan,
     recipe_to_json,
 )
-from .matrices import verify_mh
+from .matrices import format_rows
 from .numtheory import euler_phi, is_perfect_square, is_prime, is_quadratic_residue
 
 __all__ = [
@@ -155,11 +159,7 @@ def small_even_reduction(n, m):
     return None
 
 
-_CLASS_2_MOD_7_BOUND = 52565
-_CLASS_10_MOD_14_BOUND = 683294
 _CLASS_12_MOD_14_BOUND = 4481157543653329008412788039740507382
-_MENON_CHAIN_START = 43
-_PALEY11_CHAIN_STARTS = {48: 0, 34: 1, 20: 2, 6: 3, 76: 4, 62: 5}
 
 
 def threshold_note(n, m):
@@ -230,16 +230,14 @@ def decide(n, m, search_cap=None, materialize_cap=None):
         if not small_case_test(n, m).admissible:
             return verdict("NotExists", "SmallOddDelta")
     if recipe is not None:
-        cap = materialize_cap
         try:
-            mat = materialize(recipe, cap)
+            # materialize verifies the matrix at the recipe's modulus,
+            # a multiple of m (or 0), and raises if it fails
+            materialize(recipe, materialize_cap)
         except CapExceeded:
             # symbolic certificate: the recipe constructors validated
             # every residue condition, the matrix is too big to build
             pass
-        else:
-            if not verify_mh(mat, m).verdict:
-                raise RuntimeError("certificate failed verification")
         return verdict("Exists", "Constructed", recipe)
 
     outcome = _search_fallback(n, m, search_cap)
@@ -283,9 +281,6 @@ def verdict_to_json(v):
             out["certificate"] = {
                 "kind": "matrix",
                 "order": cert.n,
-                "rows": [
-                    "".join("-" if (row >> j) & 1 else "+" for j in range(cert.n))
-                    for row in cert.rows
-                ],
+                "rows": format_rows(cert),
             }
     return out

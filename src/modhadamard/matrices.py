@@ -32,6 +32,7 @@ __all__ = [
     "det_squared_mod",
     "parse_matrix_text",
     "format_matrix_text",
+    "format_rows",
 ]
 
 
@@ -257,8 +258,12 @@ def kronecker(H1, m1, H2, m2):
         raise ValueError("left factor fails verification at modulus %d" % m1)
     if not verify_mh(H2, m2).verdict:
         raise ValueError("right factor fails verification at modulus %d" % m2)
+    return _kron(H1, H2), gcd(m1 * m2, H1.n * m2, H2.n * m1)
+
+
+def _kron(H1, H2):
+    """The Kronecker product's rows, unchecked."""
     n1, n2 = H1.n, H2.n
-    m = gcd(m1 * m2, n1 * m2, n2 * m1)
     mask2 = (1 << n2) - 1
     out = []
     for i1 in range(n1):
@@ -270,7 +275,7 @@ def kronecker(H1, m1, H2, m2):
                 block = r2 ^ mask2 if (r1 >> j1) & 1 else r2
                 bits |= block << (j1 * n2)
             out.append(bits)
-    return SignMatrix(n1 * n2, tuple(out)), m
+    return SignMatrix(n1 * n2, tuple(out))
 
 
 def core_to_design(H, m):
@@ -289,22 +294,26 @@ def core_to_design(H, m):
         raise ValueError("matrix is not normalized")
     if not verify_mh(H, m).verdict:
         raise ValueError("matrix fails verification at modulus %d" % m)
-    rows = []
-    mask = (1 << (n - 1)) - 1
-    for i in range(1, n):
-        # entry +1 maps to 1, entry -1 maps to 0
-        rows.append((H.rows[i] >> 1) ^ mask)
     phi = euler_phi(m)  # phi(m) >= 2 whenever m >= 3
     k = pow(2, phi - 1, m) * (n - 2) % m
     lam = pow(2, phi - 2, m) * (n - 4) % m
-    D = IncidenceMatrix(n - 1, tuple(rows))
-    return D, DesignParams(n - 1, k, lam, m)
+    return _core(H), DesignParams(n - 1, k, lam, m)
+
+
+def _core(H):
+    """The core's incidence rows, unchecked: entry +1 maps to 1, -1 to 0."""
+    mask = (1 << (H.n - 1)) - 1
+    return IncidenceMatrix(H.n - 1, tuple((r >> 1) ^ mask for r in H.rows[1:]))
 
 
 def direct_sum(D1, p1, D2, p2):
     """Block matrix [[D1, J], [J^T, D2]] of order v1 + v2."""
     if p1.modulus != p2.modulus:
         raise ValueError("modulus mismatch: %d vs %d" % (p1.modulus, p2.modulus))
+    return _direct_sum(D1, D2)
+
+
+def _direct_sum(D1, D2):
     v1, v2 = D1.v, D2.v
     ones2 = (1 << v2) - 1
     ones1 = (1 << v1) - 1
@@ -420,21 +429,25 @@ def _read_rows(lines, n, alphabet):
     return out
 
 
+_SIGN_DIGITS = str.maketrans("01", "+-")
+
+
+def format_rows(M):
+    """Rows as text, column 0 first: +- for a SignMatrix, 01 for an
+    IncidenceMatrix.  A set bit prints as '-' or '1'."""
+    sign = isinstance(M, SignMatrix)
+    spec = "0%db" % (M.n if sign else M.v)
+    rows = [format(r, spec)[::-1] for r in M.rows]
+    return [r.translate(_SIGN_DIGITS) for r in rows] if sign else rows
+
+
 def format_matrix_text(M, m=None, params=None):
     """Inverse of parse_matrix_text."""
     if isinstance(M, SignMatrix):
         if m is None:
             raise ValueError("sign matrix needs a modulus")
         head = "%d %d" % (M.n, m)
-        body = [
-            "".join("-" if (M.rows[i] >> j) & 1 else "+" for j in range(M.n))
-            for i in range(M.n)
-        ]
     else:
         p = params
         head = "%d %d %d %d" % (p.v, p.k, p.lam, p.modulus)
-        body = [
-            "".join("1" if (M.rows[i] >> j) & 1 else "0" for j in range(M.v))
-            for i in range(M.v)
-        ]
-    return "\n".join([head] + body) + "\n"
+    return "\n".join([head] + format_rows(M)) + "\n"

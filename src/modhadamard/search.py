@@ -113,14 +113,13 @@ def _compat_mask(order, n, m):
     return mask
 
 
-def _solve_subtree(start, cands, compat, mask, need, allow_repeat, goal, counter):
+def _solve_subtree(start, all_after, compat, mask, need, allow_repeat, goal, counter):
     """DFS below first-level choice `start`. Returns (witness_rows, count).
 
-    compat[i] is the compatibility mask of candidate i, or None until
-    mask(i) builds it on the first read.
+    all_after[i] has the bits of the candidates after i.  compat[i] is the
+    compatibility mask of candidate i, or None until mask(i) builds it on
+    the first read.
     """
-    k = len(cands)
-    all_after = [(1 << k) - 1 >> (i + 1) << (i + 1) for i in range(k)]
     best = None
     count = 0
     if compat[start] is None:
@@ -205,6 +204,7 @@ def run(problem, max_n=None, log_branches=False):
         order, starts, goal = cands, range(k), problem.goal
     compat = [None] * k
     mask = _compat_mask(order, n, m)
+    all_after = [(1 << k) - 1 >> (i + 1) << (i + 1) for i in range(k)]
     # a row may repeat exactly when it is compatible with itself, i.e.
     # <r, r> = n vanishes at the modulus
     allow_repeat = n % m == 0
@@ -215,7 +215,7 @@ def run(problem, max_n=None, log_branches=False):
     for start in starts:
         counter = [0]
         rows, cnt = _solve_subtree(
-            start, order, compat, mask, n - 1, allow_repeat, goal, counter
+            start, all_after, compat, mask, n - 1, allow_repeat, goal, counter
         )
         nodes += counter[0]
         total += cnt

@@ -9,7 +9,16 @@ from types import SimpleNamespace
 import jsonschema
 import pytest
 
-from modhadamard import cli, existence, search
+from modhadamard import (
+    cli,
+    constructions,
+    decide,
+    existence,
+    materialize,
+    matrices,
+    plan,
+    search,
+)
 
 RECIPE_SCHEMA = json.loads(
     resources.files("modhadamard.data").joinpath("recipe.schema.json").read_text()
@@ -110,9 +119,21 @@ def test_verify_design_file(capsys, tmp_path):
     path.write_text(format_matrix_text(D, params=params))
     code, out, _ = run_cli(capsys, "verify-design", str(path))
     assert code == 0
+    assert out == "design: PASS\n"
     # the plain verify command dispatches on the header too
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 0
+    code, out, _ = run_cli(capsys, "verify-design", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "kind": "design", "lambda": 1, "k": 3, "m": 0, "v": 7, "verified": True
+    }
+    # verify-design accepts design files only
+    sign = tmp_path / "h4.txt"
+    sign.write_text("4 0\n++++\n+-+-\n++--\n+--+\n")
+    code, out, err = run_cli(capsys, "verify-design", str(sign))
+    assert code == 11 and out == ""
+    assert "not a design file" in err
 
 
 def test_search_command(capsys):
@@ -245,23 +266,44 @@ def test_zero_limits_exit_11(capsys, monkeypatch):
 
 
 def test_internal_errors_exit_11(capsys, monkeypatch):
-    # a witness or certificate that fails its own re-check is a fault of
-    # the program and must not read as "does not exist" (exit 1)
+    # a witness or certificate that fails its own check is a fault of the
+    # program and must not read as "does not exist" (exit 1)
     def failing(*args):
         return SimpleNamespace(verdict=False)
 
-    monkeypatch.setattr(cli, "verify_mh", failing)
-    code, _, err = run_cli(capsys, "search", "4", "2")
-    assert code == 11
-    assert "search witness failed re-verification" in err
     monkeypatch.setattr(search, "verify_mh", failing)
     code, _, err = run_cli(capsys, "search", "4", "2")
     assert code == 11
     assert "search produced an invalid witness" in err
-    monkeypatch.setattr(existence, "verify_mh", failing)
+    monkeypatch.setattr(constructions, "verify_mh", failing)
     code, _, err = run_cli(capsys, "decide", "57", "7")
     assert code == 11
-    assert "certificate failed verification" in err
+    assert "materialized matrix fails verification" in err
+
+
+def test_certificate_verified_once(capsys, monkeypatch):
+    # a matrix is Gram-checked once, where it is produced (materialize or
+    # search.run): no recipe node, decide or the CLI checks it again
+    real = matrices.verify_mh
+    orders = []
+
+    def counting(H, m):
+        orders.append(H.n)
+        return real(H, m)
+
+    for mod in (matrices, constructions, existence, search, cli):
+        if hasattr(mod, "verify_mh"):
+            monkeypatch.setattr(mod, "verify_mh", counting)
+    calls = [
+        (452, lambda: materialize(plan(452, 5))),
+        (57, lambda: decide(57, 7)),
+        (8, lambda: run_cli(capsys, "search", "8", "2")),
+    ]
+    for order, call in calls:
+        call()  # loads and checks the cached seeds
+        orders.clear()
+        call()
+        assert orders == [order]
 
 
 def test_console_script_installed():
