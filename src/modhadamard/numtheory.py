@@ -5,7 +5,6 @@ Primality is deterministic below 2**64 and probabilistic (flagged) above.
 """
 
 import math
-import random
 from dataclasses import dataclass
 
 __all__ = [
@@ -46,7 +45,6 @@ class Condition1Error(ValueError):
 
 # Deterministic for n < 2**64 with these bases.
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_ROUNDS_BIG = 64
 
 _SMALL_PRIMES = []
 _sieve_limit = 10000
@@ -60,6 +58,12 @@ for _i in range(2, _sieve_limit + 1):
         _SMALL_PRIMES.append(_i)
 
 
+def _odd_split(m):
+    """(d, s) with m = d * 2**s and d odd, for m >= 1."""
+    s = (m & -m).bit_length() - 1
+    return m >> s, s
+
+
 def _miller_rabin_round(n, a, d, s):
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
@@ -71,12 +75,85 @@ def _miller_rabin_round(n, a, d, s):
     return False
 
 
+def _jacobi(a, n):
+    """Jacobi symbol (a/n) for odd n >= 1."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n):
+    """Strong Lucas probable-prime test, Selfridge's method A, odd n >= 3.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, and P = 1,
+    Q = (1 - D)/4.  With n + 1 = d 2**s, d odd, n passes when U_d = 0 or
+    V_(d 2**r) = 0 mod n for some 0 <= r < s, as every prime n not
+    dividing 2QD does.
+    """
+    if is_perfect_square(n) is not None:
+        return False  # no D has (D/n) = -1
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False  # gcd(D, n) is a proper factor
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = _odd_split(n + 1)
+    # left-to-right over the bits of d: (U_k, V_k, Q**k) with P = 1, using
+    # U_2k = U_k V_k, V_2k = V_k**2 - 2 Q**k, and for the step k -> k + 1
+    # U = (U_k + V_k)/2, V = (D U_k + V_k)/2; halving is mod n (n odd)
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n
+            U = (U + n) // 2 if U % 2 else U // 2
+            V = (V + n) // 2 if V % 2 else V // 2
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _bpsw(n):
+    """Baillie-PSW: a strong base-2 test, then a strong Lucas test.
+
+    No composite is known to pass both, and none exists below 2**64, but
+    that is not proven for larger n.
+    """
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    d, s = _odd_split(n - 1)
+    return _miller_rabin_round(n, 2, d, s) and _strong_lucas(n)
+
+
 def is_prime(n):
     """Primality test.
 
-    Returns (prime, probabilistic). Deterministic Miller-Rabin bases cover
-    n < 2**64; larger inputs get trial division then 64 rounds with bases
-    drawn from a generator seeded by n, so results are reproducible.
+    Returns (prime, probabilistic).  Below 2**64 the Miller-Rabin bases
+    _MR_BASES_64 decide primality exactly.  Larger n get trial division by
+    the primes below 10**4 and then the Baillie-PSW test (R. Baillie and
+    S. S. Wagstaff Jr., "Lucas pseudoprimes", Math. Comp. 35, 1980): a
+    strong base-2 test and a strong Lucas test with Selfridge parameters.
+    A composite that passes both is unknown but not ruled out, so a prime
+    answer above 2**64 is flagged probabilistic.  The test draws nothing at
+    random, so results are reproducible.
     """
     if n < 2:
         return False, False
@@ -85,12 +162,8 @@ def is_prime(n):
             return True, False
         if n % p == 0:
             return False, False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
     if n < 1 << 64:
+        d, s = _odd_split(n - 1)
         for a in _MR_BASES_64:
             if not _miller_rabin_round(n, a, d, s):
                 return False, False
@@ -98,12 +171,7 @@ def is_prime(n):
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return False, False
-    rng = random.Random(n & ((1 << 64) - 1))
-    for _ in range(_MR_ROUNDS_BIG):
-        a = rng.randrange(2, n - 1)
-        if not _miller_rabin_round(n, a, d, s):
-            return False, False
-    return True, True
+    return (True, True) if _bpsw(n) else (False, False)
 
 
 def _pollard_rho(n):
@@ -247,7 +315,7 @@ def is_prime_power(x):
     """Decompose x = b**e with b prime, or None.
 
     The result carries a probabilistic flag when the base's primality was
-    only established by randomized rounds (x >= 2**64 territory).
+    only established by the Baillie-PSW test of is_prime (a base >= 2**64).
     """
     if x < 2:
         raise ValueError("need x >= 2")
@@ -345,22 +413,62 @@ def _odd_prime_powers_congruent(residue, modulus, limit):
             yield q
 
 
+# _has_two_primes divides by progression terms below this.  At 3500 bits one
+# division costs about 10**-5 of a strong base-2 test; condition1_search over
+# the classes of p = 3, 5 and 7 took the same time, within noise, for bounds
+# from 10**5 to 3 * 10**6.
+_PROGRESSION_BOUND = 10**6
+
+
+def _has_two_primes(r, d):
+    """True when trial division shows that r = repunit(q, d) has two primes.
+
+    d is an odd prime and r >= 2**64.  A prime l != d dividing r has
+    q**d = 1 and q != 1 mod l (else r = d mod l), so q has order d mod l,
+    d divides l - 1, and l, being odd, is 1 mod 2d.  Only that progression
+    is tried; a term may be composite, and then its smallest prime b also
+    divides r.  After a hit r is a prime power exactly when it is a power
+    of b.  Terms stop at _PROGRESSION_BOUND, far below isqrt(r) >= 2**32.
+    """
+    step = 2 * d
+    for ell in range(step + 1, _PROGRESSION_BOUND, step):
+        if r % ell == 0:
+            b = next(iter(factorize(ell)))
+            while r % b == 0:
+                r //= b
+            return r != 1
+    return False
+
+
 def condition1_search(p, delta, q_limit, d_limit):
     """Smallest (q, d) witness for the class delta, scanning q then d.
 
     Deterministic: q ascends over odd prime powers = 1 mod p, and for each
-    q the exponent d ascends over d = delta mod p. Returns None on
-    exhaustion.
+    q the exponent d ascends over the primes d = delta mod p, each checked
+    by condition1_verify.  Returns None on exhaustion.
+
+    Skipping the other d loses no witness.  d = 1 gives r = 1.  For
+    composite d, take a proper divisor a > 1 of d: repunit(q, a) > 1
+    divides r = repunit(q, d), and its primes divide q**a - 1.  By
+    Zsigmondy's theorem (Monatsh. Math. 3, 1892) q**d - 1 has a prime
+    dividing no q**k - 1 with k < d, hence not q - 1, so it divides r and
+    is not one of those primes: r has two distinct primes.  The theorem's
+    exceptions, d = 2 and (q, d) = (2, 6), are excluded because d is
+    composite and q odd.  For prime d and r >= 2**64, _has_two_primes
+    rejects about half of the composite r with cheap divisions before
+    condition1_verify runs its primality test.
     """
     if not 1 <= delta < p:
         raise ValueError("need 1 <= delta < p")
+    exponents = [d for d in range(delta, d_limit + 1, p) if is_prime(d)[0]]
     for q in _odd_prime_powers_congruent(1, p, q_limit):
-        d = delta
-        while d <= d_limit:
-            if d >= 1:
-                try:
-                    return condition1_verify(p, q, d)
-                except Condition1Error:
-                    pass
-            d += p
+        for d in exponents:
+            r = repunit(q, d)
+            # condition1_verify rejects r != 1 mod 4 at once
+            if r >> 64 and r % 4 == 1 and _has_two_primes(r, d):
+                continue
+            try:
+                return condition1_verify(p, q, d)
+            except Condition1Error:
+                pass
     return None

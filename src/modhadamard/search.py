@@ -41,7 +41,7 @@ class SearchProblem:
     m: int
     mode: str = "generic"
     goal: str = "first"
-    # column-symmetry reduction; only the "exhaust" goal uses it (see run)
+    # column-symmetry reduction; the "first" and "exhaust" goals use it (see run)
     symmetry: bool = True
 
     def __post_init__(self):
@@ -162,12 +162,17 @@ def _solve_subtree(start, all_after, compat, mask, need, allow_repeat, goal, cou
 def run(problem, max_n=None, log_branches=False):
     """Execute the search.
 
-    goal "first" stops at the lex-least witness.  "count" traverses the
-    whole space and counts labelled row sets.  "exhaust" settles existence:
-    with symmetry off it traverses the whole space as "count" does; with
-    symmetry on (the default) it runs the reduced search below and stops at
-    its first witness, so `solutions` is 0 or 1.  Raises LimitExceeded when
-    n is beyond the configured bound for the mode.
+    goal "first" returns the lex-least witness.  "count" traverses the
+    whole space and counts labelled row sets.  "exhaust" settles existence.
+    With symmetry off, "first" stops at the lex-least witness and "exhaust"
+    traverses the whole space as "count" does.  With symmetry on (the
+    default) both start with the reduced search below, which stops at its
+    first witness: "exhaust" returns that, so `solutions` is 0 or 1, and
+    "first" returns None when it finds none and otherwise runs the
+    unreduced "first" as well, so the witness is still the lex-least one
+    and nodes_visited counts both passes.  log_branches records one entry
+    per start of each pass.  Raises LimitExceeded when n is beyond the
+    configured bound for the mode.
 
     Soundness of the reduction.  Both modes admit a row by its weight
     alone, and two rows a, b are compatible exactly when
@@ -195,41 +200,52 @@ def run(problem, max_n=None, log_branches=False):
     outcome_log = {"candidate_digest": _candidate_digest(cands)}
     if k == 0:
         return SearchOutcome(None, True, 0, 0, 0, outcome_log)
-    if problem.symmetry and problem.goal == "exhaust":
-        reps = sorted({((1 << c.bit_count()) - 1) << 1 for c in cands})
-        rest = set(cands).difference(reps)
-        order = reps + [c for c in cands if c in rest]
-        starts, goal = range(len(reps)), "first"
-    else:
-        order, starts, goal = cands, range(k), problem.goal
-    compat = [None] * k
-    mask = _compat_mask(order, n, m)
     all_after = [(1 << k) - 1 >> (i + 1) << (i + 1) for i in range(k)]
     # a row may repeat exactly when it is compatible with itself, i.e.
     # <r, r> = n vanishes at the modulus
     allow_repeat = n % m == 0
-    nodes = 0
-    best = None
-    total = 0
     branch_records = []
-    for start in starts:
-        counter = [0]
-        rows, cnt = _solve_subtree(
-            start, all_after, compat, mask, n - 1, allow_repeat, goal, counter
-        )
-        nodes += counter[0]
-        total += cnt
-        if log_branches:
-            branch_records.append({"start": start, "nodes": counter[0], "solutions": cnt})
-        if rows is not None and best is None:
-            best = rows
-            if goal == "first":
-                break
+
+    def traverse(order, starts, goal):
+        """DFS from each start over `order`: (sorted witness rows or None,
+        nodes, solutions).  goal "first" stops at the first witness."""
+        compat = [None] * k
+        mask = _compat_mask(order, n, m)
+        nodes = 0
+        best = None
+        total = 0
+        for start in starts:
+            counter = [0]
+            rows, cnt = _solve_subtree(
+                start, all_after, compat, mask, n - 1, allow_repeat, goal, counter
+            )
+            nodes += counter[0]
+            total += cnt
+            if log_branches:
+                branch_records.append(
+                    {"start": start, "nodes": counter[0], "solutions": cnt}
+                )
+            if rows is not None and best is None:
+                best = sorted(order[i] for i in rows)
+                if goal == "first":
+                    break
+        return best, nodes, total
+
+    if problem.symmetry and problem.goal != "count":
+        reps = sorted({((1 << c.bit_count()) - 1) << 1 for c in cands})
+        rest = set(cands).difference(reps)
+        order = reps + [c for c in cands if c in rest]
+        best, nodes, total = traverse(order, range(len(reps)), "first")
+        if best is not None and problem.goal == "first":
+            best, full_nodes, total = traverse(cands, range(k), "first")
+            nodes += full_nodes
+    else:
+        best, nodes, total = traverse(cands, range(k), problem.goal)
     if log_branches:
         outcome_log["branches"] = branch_records
     found = None
     if best is not None:
-        found = SignMatrix(n, (0,) + tuple(sorted(order[i] for i in best)))
+        found = SignMatrix(n, (0,) + tuple(best))
         if not verify_mh(found, m).verdict:
             raise AssertionError("search produced an invalid witness")
     exhausted = problem.goal != "first" or found is None

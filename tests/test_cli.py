@@ -16,6 +16,7 @@ from modhadamard import (
     existence,
     materialize,
     matrices,
+    numtheory,
     plan,
     search,
 )
@@ -194,6 +195,33 @@ def test_condition1_missing_witness(capsys):
     assert code == 2
 
 
+def test_condition1_witness_verified_once(capsys, monkeypatch):
+    # condition1_search returns only witnesses that condition1_verify built;
+    # the CLI does not check them again
+    real = numtheory.condition1_verify
+    calls = []
+
+    def counting(p, q, d):
+        calls.append((q, d))
+        return real(p, q, d)
+
+    for mod in (numtheory, cli):
+        if hasattr(mod, "condition1_verify"):
+            monkeypatch.setattr(mod, "condition1_verify", counting)
+    numtheory.condition1_search(7, 3, 3000, 400)
+    searched = list(calls)
+    assert searched[-1] == (71, 3)
+    calls.clear()
+    code, out, _ = run_cli(capsys, "condition1", "7", "3")
+    assert code == 0
+    assert calls == searched
+    assert out == (
+        "condition-1 witnesses for p = 7 (q <= 3000, d <= 400):\n"
+        "  delta     q     d  r\n"
+        "      3    71     3  5113\n"
+    )
+
+
 def test_design_params_command(capsys):
     code, out, _ = run_cli(capsys, "design-params", "11", "23", "3")
     assert code == 0
@@ -304,6 +332,17 @@ def test_certificate_verified_once(capsys, monkeypatch):
         orders.clear()
         call()
         assert orders == [order]
+
+
+def test_python_dash_m_package():
+    # without __main__.py, python -m also exits 1, so the output is checked
+    out = subprocess.run(
+        [sys.executable, "-m", "modhadamard", "decide", "13", "7"],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 1, out.stderr
+    assert out.stdout.startswith("MH(13, 7): NotExists")
 
 
 def test_console_script_installed():

@@ -19,6 +19,13 @@ from modhadamard import (
     mod_inverse,
     repunit,
 )
+from modhadamard.numtheory import (
+    _bpsw,
+    _has_two_primes,
+    _miller_rabin_round,
+    _odd_split,
+    _strong_lucas,
+)
 
 from conftest import SEED
 
@@ -38,10 +45,57 @@ def test_is_prime_medium():
     assert is_prime(2**61 - 1) == (True, False)
 
 
+def _strong_base_2(n):
+    return _miller_rabin_round(n, 2, *_odd_split(n - 1))
+
+
 def test_is_prime_large_is_probabilistic():
-    flag, probabilistic = is_prime(2**89 - 1)
-    assert flag is True
-    assert probabilistic is True
+    for exponent in (89, 127, 521):
+        assert is_prime(2**exponent - 1) == (True, True)
+    # 2^67 - 1 = 193707721 * 761838257287 is a strong base-2 pseudoprime, as
+    # every composite Mersenne number 2^p - 1 is: the Lucas half rejects it
+    assert _strong_base_2(2**67 - 1) is True
+    assert is_prime(2**67 - 1) == (False, False)
+
+
+def test_bpsw_agrees_with_sieve():
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    for n in range(limit):
+        assert _bpsw(n) == bool(sieve[n]), n
+
+
+def test_bpsw_halves_reject_each_others_pseudoprimes():
+    # the first strong Lucas pseudoprimes (OEIS A217255)
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert _strong_lucas(n) is True, n
+        assert _strong_base_2(n) is False, n
+        assert _bpsw(n) is False, n
+    # squares of the Wieferich primes 1093 and 3511 are strong base-2
+    # pseudoprimes; no D has (D/n) = -1 for a square, and the Lucas half
+    # rejects them
+    for n in (1093**2, 3511**2):
+        assert _strong_base_2(n) is True, n
+        assert _bpsw(n) is False, n
+
+
+def test_is_prime_rejects_chernick_carmichael():
+    # (6k+1)(12k+1)(18k+1) is a Carmichael number when all three are prime;
+    # take the first above 2^64, whose factors also clear the trial division
+    k = 240000  # n passes 2^64 near k = 242,000
+    while True:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        n = math.prod(factors)
+        if n > 2**64 and all(is_prime(f)[0] for f in factors):
+            break
+        k += 1
+    assert min(factors) > 10**4
+    assert pow(2, n - 1, n) == 1  # a base-2 Fermat pseudoprime
+    assert is_prime(n) == (False, False)
 
 
 def test_factorize():
@@ -183,6 +237,45 @@ def test_condition1_search_finds_smallest_witness():
     w = condition1_search(11, 5, 100, 20)
     assert (w.q, w.d) == (23, 5)
     assert w.r == 292561
+
+
+def _unpruned_search(p, delta, q_limit, d_limit):
+    """condition1_search by its definition: every (q, d), checked in full."""
+    for q in range(3, q_limit + 1, 2):
+        if q % p != 1 or is_prime_power(q) is None:
+            continue
+        for d in range(delta, d_limit + 1, p):
+            try:
+                return condition1_verify(p, q, d)
+            except Condition1Error:
+                pass
+    return None
+
+
+def test_condition1_search_matches_unpruned_scan():
+    # (7, delta) within q <= 700, d <= 60 holds the (659, 29) witness and
+    # one class with none
+    for p, q_limit, d_limit in ((3, 3000, 400), (5, 3000, 400), (7, 700, 60)):
+        for delta in range(1, p):
+            want = _unpruned_search(p, delta, q_limit, d_limit)
+            assert condition1_search(p, delta, q_limit, d_limit) == want, (p, delta)
+    assert condition1_search(7, 4, 700, 60) is None
+
+
+def test_composite_exponent_is_not_a_witness():
+    # r = repunit(11, 9) = 1 mod 4, but repunit(11, 3) = 7 * 19 divides it
+    assert repunit(11, 9) % 4 == 1
+    with pytest.raises(Condition1Error) as err:
+        condition1_verify(5, 11, 9)
+    assert err.value.invariant == "r_prime_power"
+
+
+def test_has_two_primes_settles_hits_exactly():
+    # d = 3 tries 7, 13, 19, 25, ...: 25 is composite and stands for 5
+    assert _has_two_primes(5**30, 3) is False
+    assert _has_two_primes(7 * 5**30, 3) is True
+    assert _has_two_primes(13**20, 3) is False
+    assert _has_two_primes(2**127 - 1, 3) is False  # no factor in range
 
 
 def test_condition1_search_exhausts_to_none():

@@ -170,3 +170,23 @@ def test_reduced_node_counts():
     # the unreduced traversal is unchanged
     off = run(SearchProblem(11, 5, "restricted", "exhaust", symmetry=False))
     assert off.nodes_visited == 165
+
+
+def test_first_settles_refuted_instance_by_reduced_search():
+    out = run(SearchProblem(13, 5, "restricted", "first"), log_branches=True)
+    assert out.exhausted and out.found is None and out.solutions == 0
+    assert out.nodes_visited == 248972  # the reduced exhaust's count
+    assert [b["start"] for b in out.log["branches"]] == [0, 1]
+
+
+def test_first_with_symmetry_keeps_lex_least_witness():
+    # with a witness the unreduced first-witness pass runs after the reduced one
+    on = run(SearchProblem(11, 7, "restricted", "first"), log_branches=True)
+    off = run(SearchProblem(11, 7, "restricted", "first", symmetry=False))
+    assert on.found is not None and on.found == off.found
+    assert on.exhausted is False and on.solutions == 1
+    assert on.nodes_visited == off.nodes_visited + on.log["branches"][0]["nodes"]
+    for n, m in _restricted_instances(11):
+        on = run(SearchProblem(n, m, "restricted", "first"))
+        off = run(SearchProblem(n, m, "restricted", "first", symmetry=False))
+        assert on.found == off.found and on.exhausted == off.exhausted, (n, m)
