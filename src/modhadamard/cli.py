@@ -3,7 +3,7 @@
 Exit codes follow the decision convention: 0 = exists / verified,
 1 = does not exist / verification failed, 2 = unknown or inconclusive,
 10 = usage error, 11 = runtime error (bad file, limit exceeded, failed
-self-check, ...).
+self-check, any other crash).
 """
 
 import argparse
@@ -484,6 +484,14 @@ def main(argv=None):
         # a failed self-check (a witness or certificate that does not
         # verify) is a fault of the program, not a "does not exist" (1)
         print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # so is any other crash; the traceback says where it happened
+        # (imported here, as only a crash needs it and it is slow to load)
+        import traceback
+
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -217,13 +217,11 @@ def paley_hadamard(q):
     if not prime or q % 4 != 3:
         raise ValueError("need a prime q with q %% 4 == 3, got %r" % (q,))
     squares = {x * x % q for x in range(1, q)}
-    rows = [0]
-    for i in range(q):
-        bits = 0
-        for j in range(q):
-            if i == j or (i - j) % q not in squares:
-                bits |= 1 << (j + 1)
-        rows.append(bits)
+    # The Jacobsthal block is circulant: entry (i, j) is -1 exactly when
+    # i = j or i - j is a non-square, so row i is row 0 rotated by i.
+    first = sum(1 << j for j in range(q) if j == 0 or -j % q not in squares)
+    mask = (1 << q) - 1
+    rows = [0] + [(((first << i) | (first >> (q - i))) & mask) << 1 for i in range(q)]
     mat = SignMatrix(q + 1, tuple(rows))
     if not verify_mh(mat, 0).verdict:
         raise RuntimeError("paley matrix failed self-check at q=%d" % q)

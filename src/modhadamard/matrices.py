@@ -10,6 +10,7 @@ same convention (gcd(0, x) = x), which makes the Kronecker modulus law
 degrade gracefully to real Hadamard matrices.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -191,23 +192,51 @@ def verify_mh(H, m):
 
     Returns a GramReport; .verdict is the answer. The off-diagonal residue
     multiset is kept for diagnostics.
+
+    Each pair of distinct rows is checked once: two copies of one row have
+    inner product n, and the pairs of copies pass exactly when n = 0 at the
+    modulus. So the cost is quadratic in the number of distinct rows, and
+    the all-ones matrix needs no pair check at all. A passing matrix has
+    every off-diagonal residue 0; only a failing one builds the full
+    histogram.
     """
     if m < 0 or m == 1:
         raise ValueError("modulus must be 0 (exact) or >= 2")
     n = H.n
     diagonal_ok = True  # <r, r> = n identically for sign rows
-    counts = {}
-    ok = True
-    rows = H.rows
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            p = n - 2 * (ri ^ rows[j]).bit_count()
-            r = residue(p, m)
-            counts[r] = counts.get(r, 0) + 1
-            if r != 0:
-                ok = False
-    return GramReport(m, diagonal_ok, dict(sorted(counts.items())), diagonal_ok and ok)
+    mult = Counter(H.rows)
+    distinct = list(mult)
+    # popcounts c of the xor of two rows whose inner product n - 2c is 0;
+    # two copies of one row have c = 0
+    ok = frozenset(c for c in range(n + 1) if residue(n - 2 * c, m) == 0).__contains__
+    passed = (len(distinct) == n or ok(0)) and all(
+        all(map(ok, map(int.bit_count, map(ri.__xor__, distinct[i + 1 :]))))
+        for i, ri in enumerate(distinct)
+    )
+    if passed:
+        counts = {0: n * (n - 1) // 2} if n > 1 else {}
+    else:
+        counts = _residue_histogram(mult, distinct, n, m)
+    verdict = diagonal_ok and passed
+    return GramReport(m, diagonal_ok, dict(sorted(counts.items())), verdict)
+
+
+def _residue_histogram(mult, distinct, n, m):
+    """Off-diagonal inner-product residues of every pair of rows, counted
+    with the multiplicities of the distinct rows."""
+    table = [residue(n - 2 * c, m) for c in range(n + 1)]
+    counts = Counter()
+    if len(distinct) == n:
+        for i, ri in enumerate(distinct):
+            xors = map(ri.__xor__, distinct[i + 1 :])
+            counts.update(map(table.__getitem__, map(int.bit_count, xors)))
+        return counts
+    counts[table[0]] = sum(c * (c - 1) // 2 for c in mult.values())
+    for i, ri in enumerate(distinct):
+        ci = mult[ri]
+        for rj in distinct[i + 1 :]:
+            counts[table[(ri ^ rj).bit_count()]] += ci * mult[rj]
+    return counts
 
 
 def verify_design(D, params):
@@ -262,19 +291,25 @@ def kronecker(H1, m1, H2, m2):
 
 
 def _kron(H1, H2):
-    """The Kronecker product's rows, unchecked."""
+    """The Kronecker product's rows, unchecked.
+
+    Block (j1, i2) of output row (i1, i2) is row i2 of H2, negated where
+    entry j1 of row i1 of H1 is -1. So an output row is the H2 row repeated
+    n1 times, XOR the block mask at every set bit of the H1 row. Spreading
+    the H1 row's bits to stride n2 once makes each output row two big-int
+    operations.
+    """
     n1, n2 = H1.n, H2.n
+    one = "0" * (n2 - 1) + "1"
+    spread_digits = str.maketrans({"0": "0" * n2, "1": one})
+    spec = "0%db" % n1
+    repunit = int(one * n1, 2)  # bit j1*n2 set for every j1
     mask2 = (1 << n2) - 1
+    tiles = [r2 * repunit for r2 in H2.rows]
     out = []
-    for i1 in range(n1):
-        r1 = H1.rows[i1]
-        for i2 in range(n2):
-            r2 = H2.rows[i2]
-            bits = 0
-            for j1 in range(n1):
-                block = r2 ^ mask2 if (r1 >> j1) & 1 else r2
-                bits |= block << (j1 * n2)
-            out.append(bits)
+    for r1 in H1.rows:
+        negated = int(format(r1, spec).translate(spread_digits), 2) * mask2
+        out += [negated ^ t for t in tiles]
     return SignMatrix(n1 * n2, tuple(out))
 
 
@@ -392,41 +427,29 @@ def parse_matrix_text(text):
     header = lines[0].split()
     if len(header) == 2:
         n, m = int(header[0]), int(header[1])
-        body = _read_rows(lines[1:], n, "+-")
-        rows = []
-        for ln in body:
-            bits = 0
-            for j, ch in enumerate(ln):
-                if ch == "-":
-                    bits |= 1 << j
-            rows.append(bits)
-        return SignMatrix(n, tuple(rows)), m
+        return SignMatrix(n, _read_rows(lines[1:], n, "+-")), m
     if len(header) == 4:
         v, k, lam, m = (int(x) for x in header)
-        body = _read_rows(lines[1:], v, "01")
-        rows = []
-        for ln in body:
-            bits = 0
-            for j, ch in enumerate(ln):
-                if ch == "1":
-                    bits |= 1 << j
-            rows.append(bits)
-        return IncidenceMatrix(v, tuple(rows)), DesignParams(v, k, lam, m)
+        D = IncidenceMatrix(v, _read_rows(lines[1:], v, "01"))
+        return D, DesignParams(v, k, lam, m)
     raise ValueError("header must be 'n m' or 'v k lambda m'")
 
 
 def _read_rows(lines, n, alphabet):
+    """Bit-packed rows from text rows over a two-letter alphabet; the second
+    letter is a set bit, column 0 comes first."""
     if len(lines) != n:
         raise ValueError("expected %d rows, got %d" % (n, len(lines)))
+    digits = str.maketrans(alphabet, "01")
     out = []
     for ln in lines:
         ln = "".join(ln.split())
         if len(ln) != n:
             raise ValueError("ragged row: %r" % ln)
-        if any(ch not in alphabet for ch in ln):
+        if ln.strip(alphabet):
             raise ValueError("bad character in row %r" % ln)
-        out.append(ln)
-    return out
+        out.append(int(ln[::-1].translate(digits), 2))
+    return tuple(out)
 
 
 _SIGN_DIGITS = str.maketrans("01", "+-")

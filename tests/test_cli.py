@@ -309,6 +309,25 @@ def test_internal_errors_exit_11(capsys, monkeypatch):
     assert "materialized matrix fails verification" in err
 
 
+def test_any_crash_exits_11(capsys, monkeypatch):
+    # an exception no handler names is a crash, and exit 1 would read as
+    # "does not exist"
+    def crash(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "decide", crash)
+    code, out, err = run_cli(capsys, "decide", "57", "7")
+    assert code == 11 and out == ""
+    assert "internal error:" in err and "KeyError" in err
+
+
+def test_decide_parameter_level_certificate_does_not_exit_1(capsys):
+    # the certificate of (2224, 7) contains a design known only by its
+    # parameters, so it cannot be built; that is not "does not exist"
+    code, _, _ = run_cli(capsys, "decide", "2224", "7")
+    assert code != 1
+
+
 def test_certificate_verified_once(capsys, monkeypatch):
     # a matrix is Gram-checked once, where it is produced (materialize or
     # search.run): no recipe node, decide or the CLI checks it again

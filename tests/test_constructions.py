@@ -16,6 +16,7 @@ from modhadamard import (
     family10_params,
     family11_params,
     find_difference_set,
+    is_prime,
     iterate,
     kron,
     materialize,
@@ -54,6 +55,25 @@ def test_paley_hadamard():
         paley_hadamard(13)  # 13 = 1 mod 4
     with pytest.raises(ValueError):
         paley_hadamard(27)  # prime powers are not accepted here
+
+
+def test_paley_hadamard_matches_definition():
+    # entry (i, j) of the Jacobsthal block is -1 exactly when i = j or
+    # i - j is a non-square mod q; the first row and column are all +1
+    for q in range(3, 200, 4):
+        if not is_prime(q)[0]:
+            continue
+        squares = {x * x % q for x in range(1, q)}
+        want = [0]
+        for i in range(q):
+            bits = 0
+            for j in range(q):
+                if i == j or (i - j) % q not in squares:
+                    bits |= 1 << (j + 1)
+            want.append(bits)
+        H = paley_hadamard(q)
+        assert H.n == q + 1
+        assert H.rows == tuple(want), q
 
 
 def test_paley_design():

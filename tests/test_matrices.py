@@ -28,9 +28,42 @@ from modhadamard import (
     verify_mh,
 )
 
+from modhadamard.matrices import _kron, residue
+
 from conftest import SEED, flip_rows_cols, random_sign_matrix, verified_pool
 
 F2 = SignMatrix.from_entries([[1, 1], [1, -1]])
+MODULI = [0] + list(range(2, 13))
+
+
+def reference_gram(H, m):
+    """verify_mh's fields, one pair of rows at a time."""
+    n = H.n
+    counts = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = residue(H.row_inner(i, j), m)
+            counts[r] = counts.get(r, 0) + 1
+    return (m, True, dict(sorted(counts.items())), set(counts) <= {0})
+
+
+def gram_fields(report):
+    return (report.modulus, report.diagonal_ok, report.offdiag_residues, report.verdict)
+
+
+def reference_kron(H1, H2):
+    """The Kronecker product, one column block at a time."""
+    n1, n2 = H1.n, H2.n
+    mask2 = (1 << n2) - 1
+    out = []
+    for r1 in H1.rows:
+        for r2 in H2.rows:
+            bits = 0
+            for j1 in range(n1):
+                block = r2 ^ mask2 if (r1 >> j1) & 1 else r2
+                bits |= block << (j1 * n2)
+            out.append(bits)
+    return tuple(out)
 
 
 def test_sign_matrix_entries():
@@ -67,6 +100,60 @@ def test_gram_report_residues():
     assert report.diagonal_ok is True
     assert report.offdiag_residues == {2: 21}  # every pair has inner product 7
     assert report.verdict is False
+
+
+def test_verify_mh_matches_pairwise_reference():
+    # rows drawn from a small pool, so most matrices repeat rows; the
+    # histogram's key order is part of the report
+    rng = random.Random(SEED)
+    verdicts = set()
+    for _ in range(2000):
+        n = rng.randint(1, 14)
+        pool = [rng.getrandbits(n) for _ in range(rng.randint(1, n))]
+        H = SignMatrix(n, tuple(rng.choice(pool) for _ in range(n)))
+        m = rng.choice(MODULI)
+        got = gram_fields(verify_mh(H, m))
+        want = reference_gram(H, m)
+        assert got == want, (H, m)
+        assert list(got[2]) == list(want[2])
+        verdicts.add((n == 1, got[3]))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def test_verify_mh_matches_reference_on_verified_pool():
+    pool = verified_pool()
+    for H, _ in pool:
+        for m in MODULI:
+            assert gram_fields(verify_mh(H, m)) == reference_gram(H, m)
+
+
+def test_verify_mh_all_ones():
+    for n in range(1, 40):
+        pairs = n * (n - 1) // 2
+        for m in MODULI:
+            report = verify_mh(all_ones(n), m)
+            assert gram_fields(report) == reference_gram(all_ones(n), m)
+            if n == 1 or residue(n, m) == 0:
+                assert report.verdict is True
+                assert report.offdiag_residues == ({0: pairs} if pairs else {})
+            else:
+                assert report.verdict is False
+                assert report.offdiag_residues == {residue(n, m): pairs}
+
+
+def test_kron_matches_blockwise_reference():
+    rng = random.Random(SEED)
+    double = SignMatrix(2, (0, 2))
+    for n1 in range(1, 13):
+        for n2 in range(1, 13):
+            H1 = random_sign_matrix(rng, n1)
+            H2 = random_sign_matrix(rng, n2)
+            K = _kron(H1, H2)
+            assert K.n == n1 * n2
+            assert K.rows == reference_kron(H1, H2), (n1, n2)
+        assert _kron(H1, double).rows == reference_kron(H1, double)
+    H = materialize(plan(22, 7))
+    assert _kron(H, double).rows == reference_kron(H, double)
 
 
 def test_row_inner_matches_naive():
@@ -254,11 +341,34 @@ def test_parse_format_round_trip():
     assert (p2.v, p2.k, p2.lam, p2.modulus) == (7, 3, 1, 7)
 
 
+def test_parse_format_round_trip_random():
+    rng = random.Random(SEED)
+    for n in range(1, 30):
+        H = random_sign_matrix(rng, n)
+        assert parse_matrix_text(format_matrix_text(H, n % 7)) == (H, n % 7)
+        if n >= 2:
+            D = IncidenceMatrix(n, random_sign_matrix(rng, n).rows)
+            params = DesignParams(n, n % 5, n % 3, n % 4 * 3)
+            assert parse_matrix_text(format_matrix_text(D, params=params)) == (D, params)
+
+
 def test_parse_rejects_ragged_rows():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ragged row: '\\+\\+'"):
         parse_matrix_text("3 2\n+++\n++\n+++\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad character in row '\\+\\+\\*'"):
         parse_matrix_text("3 2\n+++\n++*\n+++\n")
+    with pytest.raises(ValueError, match="bad character in row '\\*\\+\\+'"):
+        parse_matrix_text("3 2\n+++\n*++\n+++\n")
+    with pytest.raises(ValueError, match="bad character in row '101'"):
+        parse_matrix_text("3 2\n+++\n101\n+++\n")
+    with pytest.raises(ValueError, match="bad character in row '\\+-0'"):
+        parse_matrix_text("3 1 0 3\n101\n+-0\n111\n")
+    with pytest.raises(ValueError, match="expected 3 rows, got 2"):
+        parse_matrix_text("3 2\n+++\n+++\n")
+    with pytest.raises(ValueError, match="header must be"):
+        parse_matrix_text("3\n+++\n")
+    with pytest.raises(ValueError, match="empty input"):
+        parse_matrix_text(" \n\n")
 
 
 def test_parse_tolerates_whitespace():
