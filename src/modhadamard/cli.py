@@ -480,14 +480,11 @@ def main(argv=None):
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    except (RuntimeError, AssertionError) as exc:
-        # a failed self-check (a witness or certificate that does not
-        # verify) is a fault of the program, not a "does not exist" (1)
-        print("internal error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
     except Exception as exc:
-        # so is any other crash; the traceback says where it happened
-        # (imported here, as only a crash needs it and it is slow to load)
+        # a crash, or a failed self-check (a witness or certificate that
+        # does not verify), is a fault of the program, not a "does not
+        # exist" (1); the traceback says where it happened (imported here,
+        # as only a crash needs it and it is slow to load)
         import traceback
 
         traceback.print_exc()

@@ -198,14 +198,13 @@ def verify_mh(H, m):
     modulus. So the cost is quadratic in the number of distinct rows, and
     the all-ones matrix needs no pair check at all. A passing matrix has
     every off-diagonal residue 0; only a failing one builds the full
-    histogram.
+    histogram, over every pair of rows.
     """
     if m < 0 or m == 1:
         raise ValueError("modulus must be 0 (exact) or >= 2")
     n = H.n
     diagonal_ok = True  # <r, r> = n identically for sign rows
-    mult = Counter(H.rows)
-    distinct = list(mult)
+    distinct = list(dict.fromkeys(H.rows))
     # popcounts c of the xor of two rows whose inner product n - 2c is 0;
     # two copies of one row have c = 0
     ok = frozenset(c for c in range(n + 1) if residue(n - 2 * c, m) == 0).__contains__
@@ -216,26 +215,18 @@ def verify_mh(H, m):
     if passed:
         counts = {0: n * (n - 1) // 2} if n > 1 else {}
     else:
-        counts = _residue_histogram(mult, distinct, n, m)
+        counts = _residue_histogram(H.rows, n, m)
     verdict = diagonal_ok and passed
     return GramReport(m, diagonal_ok, dict(sorted(counts.items())), verdict)
 
 
-def _residue_histogram(mult, distinct, n, m):
-    """Off-diagonal inner-product residues of every pair of rows, counted
-    with the multiplicities of the distinct rows."""
+def _residue_histogram(rows, n, m):
+    """Off-diagonal inner-product residues of every pair of rows."""
     table = [residue(n - 2 * c, m) for c in range(n + 1)]
     counts = Counter()
-    if len(distinct) == n:
-        for i, ri in enumerate(distinct):
-            xors = map(ri.__xor__, distinct[i + 1 :])
-            counts.update(map(table.__getitem__, map(int.bit_count, xors)))
-        return counts
-    counts[table[0]] = sum(c * (c - 1) // 2 for c in mult.values())
-    for i, ri in enumerate(distinct):
-        ci = mult[ri]
-        for rj in distinct[i + 1 :]:
-            counts[table[(ri ^ rj).bit_count()]] += ci * mult[rj]
+    for i, ri in enumerate(rows):
+        xors = map(ri.__xor__, rows[i + 1 :])
+        counts.update(map(table.__getitem__, map(int.bit_count, xors)))
     return counts
 
 

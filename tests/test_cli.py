@@ -324,8 +324,9 @@ def test_any_crash_exits_11(capsys, monkeypatch):
 def test_decide_parameter_level_certificate_does_not_exit_1(capsys):
     # the certificate of (2224, 7) contains a design known only by its
     # parameters, so it cannot be built; that is not "does not exist"
-    code, _, _ = run_cli(capsys, "decide", "2224", "7")
-    assert code != 1
+    code, _, err = run_cli(capsys, "decide", "2224", "7")
+    assert code == 11
+    assert "internal error:" in err and "MaterializeError" in err
 
 
 def test_certificate_verified_once(capsys, monkeypatch):
