@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from math import gcd
+from math import gcd, prod
 
 from .matrices import (
     DesignParams,
@@ -23,6 +23,7 @@ from .matrices import (
     _core,
     _direct_sum,
     _kron,
+    _read_rows,
     all_ones,
     design_to_mh,
     j_minus_2i,
@@ -103,19 +104,34 @@ def _group_elements(mods):
 
 
 def _develop(mods, subset):
-    """Incidence matrix of the translates of subset in prod Z_mods."""
-    elements = _group_elements(mods)
-    index = {e: i for i, e in enumerate(elements)}
-    v = len(elements)
-    chosen = set(subset)
-    rows = []
-    for e in elements:
-        bits = 0
-        for j, f in enumerate(elements):
-            diff = tuple((a - b) % m for a, b, m in zip(f, e, mods))
-            if index[diff] in chosen:
-                bits |= 1 << j
-        rows.append(bits)
+    """Incidence matrix of the translates of subset in prod Z_mods.
+
+    subset holds element indices in _group_elements order, where the last
+    factor varies fastest; row e marks the translate e + subset.  Adding the
+    generator of factor i moves every index by one sub-block of
+    s = m_(i+1) ... m_(r-1) places, cyclically within its block of m_i * s
+    indices, so a row's translate is that row with every block rotated by
+    s bits: a few big-int operations per row.
+    """
+    v = prod(mods)
+    row = 0
+    for j in subset:
+        row |= 1 << j
+    rows = [row]
+    full = (1 << v) - 1
+    block = v
+    for m in mods:
+        s = block // m
+        low = ((1 << (block - s)) - 1) * (full // ((1 << block) - 1))
+        high = full ^ low
+        developed = []
+        for r in rows:
+            developed.append(r)
+            for _ in range(m - 1):
+                r = (r & low) << s | (r & high) >> (block - s)
+                developed.append(r)
+        rows = developed
+        block = s
     return IncidenceMatrix(v, tuple(rows))
 
 
@@ -137,32 +153,17 @@ def catalog_design(name):
     v, k, lam = entry["v"], entry["k"], entry["lambda"]
     group = entry["group"]
     if group is None:
-        rows = []
-        for line in entry["elements"]:
-            if len(line) != v:
-                raise ValueError("catalog %s: bad row length" % name)
-            bits = 0
-            for j, ch in enumerate(line):
-                if ch == "1":
-                    bits |= 1 << j
-                elif ch != "0":
-                    raise ValueError("catalog %s: bad character %r" % (name, ch))
-            rows.append(bits)
-        if len(rows) != v:
-            raise ValueError("catalog %s: bad row count" % name)
-        mat = IncidenceMatrix(v, tuple(rows))
+        mat = IncidenceMatrix(v, _read_rows(entry["elements"], v, "01"))
     else:
         mods = tuple(group)
-        elements = entry["elements"]
+        index = {e: i for i, e in enumerate(_group_elements(mods))}
         subset = []
-        for e in elements:
+        for e in entry["elements"]:
             t = (e,) if isinstance(e, int) else tuple(e)
-            if len(t) != len(mods):
-                raise ValueError("catalog %s: element rank mismatch" % name)
-            subset.append(t)
-        all_elems = _group_elements(mods)
-        index = {e: i for i, e in enumerate(all_elems)}
-        mat = _develop(mods, [index[t] for t in subset])
+            if t not in index:
+                raise ValueError("catalog %s: %r is not in the group" % (name, e))
+            subset.append(index[t])
+        mat = _develop(mods, subset)
     params = DesignParams(v, k, lam, 0)
     if not verify_design(mat, params):
         raise ValueError("catalog design %s fails verification" % name)
@@ -182,21 +183,24 @@ def two_circulant(name):
     entry = table[name]
     b = entry["block_size"]
     m = entry["modulus"]
-    first = []
+    minus = []
     for line in entry["first_rows"]:
         if len(line) != b:
             raise ValueError("two-circulant %s: bad row length" % name)
-        first.append([1 if ch == "+" else -1 for ch in line])
-    a_row, b_row = first
-    n = 2 * b
-    entries = [[0] * n for _ in range(n)]
-    for i in range(b):
-        for j in range(b):
-            entries[i][j] = a_row[(j - i) % b]
-            entries[i][b + j] = b_row[(j - i) % b]
-            entries[b + i][j] = b_row[(i - j) % b]
-            entries[b + i][b + j] = -a_row[(i - j) % b]
-    mat = SignMatrix.from_entries(entries)
+        minus.append({j for j, ch in enumerate(line) if ch != "+"})
+    a_minus, b_minus = minus
+    # each block is developed from the -1 positions of its first row: those
+    # of B^T are the negated ones of B, those of -A^T the negated +1s of A
+    firsts = (
+        a_minus,
+        b_minus,
+        {-j % b for j in b_minus},
+        {-j % b for j in range(b) if j not in a_minus},
+    )
+    blocks = [_develop((b,), first).rows for first in firsts]
+    top = [x | y << b for x, y in zip(blocks[0], blocks[1])]
+    bottom = [x | y << b for x, y in zip(blocks[2], blocks[3])]
+    mat = SignMatrix(2 * b, tuple(top + bottom))
     if not verify_mh(mat, m).verdict:
         raise ValueError("two-circulant %s fails verification" % name)
     return mat, m
@@ -206,6 +210,51 @@ def two_circulant(name):
 # Paley constructions
 
 
+def _paley_field(q, prime):
+    """(p, k) with q = p^k, when q = 3 mod 4 is a prime power (with k = 1 if
+    prime is true): the one precondition of the Paley constructions."""
+    pp = is_prime_power(q) if q % 4 == 3 else None
+    if pp is None or (prime and pp.exponent != 1):
+        kind = "prime" if prime else "prime power"
+        raise ValueError("need a %s q with q %% 4 == 3, got %r" % (kind, q))
+    return pp.base, pp.exponent
+
+
+def _nonzero_squares(q):
+    """Indices of the nonzero squares of GF(q) in _group_elements((p,) * k),
+    where q = p^k.
+
+    A prime field is the integers mod q.  For k >= 2, GF(q) is Z_p[x]/(f),
+    where f is the first monic polynomial of degree k, in the product order
+    of its coefficients with the constant term first, whose root x has
+    order q - 1: q - 1 distinct
+    powers of x are q - 1 units, so the quotient is a field and f is
+    irreducible.  The squares are the even powers of x.  An element is its
+    coefficient tuple, constant term first, read as base-p digits.
+    """
+    pp = is_prime_power(q)
+    p, k = pp.base, pp.exponent
+    if k == 1:
+        return {x * x % q for x in range(1, q)}
+    one = (1,) + (0,) * (k - 1)
+    weights = [p ** (k - 1 - j) for j in range(k)]
+    for tail in itertools.product(range(p), repeat=k):
+        if tail[0] == 0:
+            continue  # x divides f, so x is not a unit
+        powers = []
+        e = one
+        while len(powers) < q - 1:
+            powers.append(e)
+            top = e[-1]
+            # x * e, with x^k reduced to -tail
+            e = tuple((a - top * c) % p for a, c in zip((0,) + e[:-1], tail))
+            if e == one:
+                break
+        if e == one and len(powers) == q - 1:
+            return {sum(a * w for a, w in zip(x, weights)) for x in powers[::2]}
+    raise RuntimeError("no primitive polynomial found for GF(%d)" % q)
+
+
 @lru_cache(maxsize=None)
 def paley_hadamard(q):
     """Hadamard matrix of order q + 1 from the quadratic character mod q.
@@ -213,128 +262,15 @@ def paley_hadamard(q):
     q must be a prime with q % 4 == 3.  The result is exact (modulus 0)
     and already normalized: first row and column all +1.
     """
-    prime, _ = is_prime(q)
-    if not prime or q % 4 != 3:
-        raise ValueError("need a prime q with q %% 4 == 3, got %r" % (q,))
-    squares = {x * x % q for x in range(1, q)}
-    # The Jacobsthal block is circulant: entry (i, j) is -1 exactly when
-    # i = j or i - j is a non-square, so row i is row 0 rotated by i.
-    first = sum(1 << j for j in range(q) if j == 0 or -j % q not in squares)
-    mask = (1 << q) - 1
-    rows = [0] + [(((first << i) | (first >> (q - i))) & mask) << 1 for i in range(q)]
+    _paley_field(q, prime=True)
+    # The bordered quadratic-residue design: -1 is a non-square, so entry
+    # (i, j) of the core is -1 exactly when i = j or j - i is a square.
+    design = _develop((q,), _nonzero_squares(q))
+    rows = [0] + [(d | 1 << i) << 1 for i, d in enumerate(design.rows)]
     mat = SignMatrix(q + 1, tuple(rows))
     if not verify_mh(mat, 0).verdict:
         raise RuntimeError("paley matrix failed self-check at q=%d" % q)
     return mat
-
-
-# GF(p^k) support for paley_design.  Elements are coefficient tuples,
-# low degree first; addition is componentwise, multiplication reduces by
-# a monic irreducible found by search.
-
-
-def _poly_mul(a, b, p, modpoly):
-    k = len(modpoly) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    # reduce: x^k = -(lower part of modpoly)
-    for i in range(len(out) - 1, k - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(k):
-                out[i - k + j] = (out[i - k + j] - c * modpoly[j]) % p
-    out = out[:k]
-    out += [0] * (k - len(out))
-    return tuple(out)
-
-
-def _poly_pow_frobenius(base, p, modpoly, times):
-    """base ** (p ** times) mod modpoly, by repeated p-th powers."""
-    x = base
-    for _ in range(times):
-        y = (1,) + (0,) * (len(x) - 1)
-        e = p
-        sq = x
-        while e:
-            if e & 1:
-                y = _poly_mul(y, sq, p, modpoly)
-            sq = _poly_mul(sq, sq, p, modpoly)
-            e >>= 1
-        x = y
-    return x
-
-
-def _poly_gcd_is_unit(a, b, p):
-    # a, b as lists, arbitrary degree; returns True iff gcd is constant
-    a = list(a)
-    b = list(b)
-
-    def trim(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = trim(a), trim(b)
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            c = a[-1] * inv % p
-            if c:
-                shift = len(a) - len(b)
-                for i, y in enumerate(b):
-                    a[shift + i] = (a[shift + i] - c * y) % p
-            a = trim(a)
-            if not a:
-                break
-        a, b = b, a
-    return len(a) == 1
-
-
-def _is_irreducible(modpoly, p):
-    """Rabin test for the monic poly x^k + ... given as low-first coeffs."""
-    k = len(modpoly) - 1
-    x = (0, 1) + (0,) * (k - 2) if k > 1 else (0,)
-    if k == 1:
-        return True
-    xpk = _poly_pow_frobenius(x, p, modpoly, k)
-    if xpk != x:
-        return False
-    for t in {f for f in _prime_divisors(k)}:
-        xq = _poly_pow_frobenius(x, p, modpoly, k // t)
-        diff = [(a - b) % p for a, b in zip(xq, x)]
-        full = list(modpoly)
-        if not _poly_gcd_is_unit(full, diff, p):
-            return False
-    return True
-
-
-def _prime_divisors(k):
-    out = []
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            out.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        out.append(k)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _field_modpoly(p, k):
-    for tail in itertools.product(range(p), repeat=k):
-        cand = tuple(tail) + (1,)
-        if cand[0] == 0:
-            continue
-        if _is_irreducible(cand, p):
-            return cand
-    raise RuntimeError("no irreducible polynomial found for GF(%d^%d)" % (p, k))
 
 
 @lru_cache(maxsize=None)
@@ -344,28 +280,8 @@ def paley_design(q):
     q may be any prime power in the right residue class.  Returns
     (IncidenceMatrix, DesignParams) with modulus 0.
     """
-    pp = is_prime_power(q)
-    if pp is None or q % 4 != 3:
-        raise ValueError("need a prime power q with q %% 4 == 3, got %r" % (q,))
-    p, k = pp.base, pp.exponent
-    if k == 1:
-        elements = list(range(q))
-        sub = lambda a, b: (a - b) % q
-        squares = {x * x % q for x in range(1, q)}
-    else:
-        modpoly = _field_modpoly(p, k)
-        elements = [tuple(t) for t in itertools.product(range(p), repeat=k)]
-        sub = lambda a, b: tuple((x - y) % p for x, y in zip(a, b))
-        squares = {_poly_mul(e, e, p, modpoly) for e in elements}
-        squares.discard((0,) * k)
-    rows = []
-    for e in elements:
-        bits = 0
-        for j, f in enumerate(elements):
-            if sub(f, e) in squares:
-                bits |= 1 << j
-        rows.append(bits)
-    mat = IncidenceMatrix(q, tuple(rows))
+    p, k = _paley_field(q, prime=False)
+    mat = _develop((p,) * k, _nonzero_squares(q))
     params = DesignParams(q, (q - 1) // 2, (q - 3) // 4, 0)
     if not verify_design(mat, params):
         raise RuntimeError("paley design failed self-check at q=%d" % q)
@@ -388,9 +304,7 @@ def find_difference_set(group, k, lam):
     mods = tuple(int(x) for x in group)
     if not mods or any(x < 1 for x in mods):
         raise ValueError("group factors must be positive")
-    v = 1
-    for x in mods:
-        v *= x
+    v = prod(mods)
     if v > 40:
         raise ValueError("group order %d exceeds the search cap of 40" % v)
     if not 0 < k <= v:
@@ -555,16 +469,12 @@ def seed_j_minus_2i(n):
 
 
 def seed_paley(q):
-    prime, _ = is_prime(q)
-    if not prime or q % 4 != 3:
-        raise ValueError("need a prime q with q %% 4 == 3, got %r" % (q,))
+    _paley_field(q, prime=True)
     return Recipe("PaleyHadamard", (q,), (), q + 1, 0, "mh")
 
 
 def seed_paley_design(q):
-    pp = is_prime_power(q)
-    if pp is None or q % 4 != 3:
-        raise ValueError("need a prime power q with q %% 4 == 3, got %r" % (q,))
+    _paley_field(q, prime=False)
     return Recipe("PaleyDesign", (q,), (), q, 0, "design")
 
 
@@ -629,15 +539,6 @@ def double(recipe):
     return Recipe("Double", (), (recipe,), 2 * recipe.order, 2 * recipe.modulus, "mh")
 
 
-def _companion_ok(base_order, m, dp):
-    c = pow(2, euler_phi(m) - 2, m)
-    return (
-        (dp.v - 1) % m == 0
-        and (dp.k - 1) % m == 0
-        and (dp.lam - c * (4 - base_order)) % m == 0
-    )
-
-
 def _check_extension(base, design, m, who):
     _require_mh(base, who)
     if design.kind != "design":
@@ -651,7 +552,8 @@ def _check_extension(base, design, m, who):
     if gcd(base.order, m) != 1:
         raise ValueError("base order shares a factor with the modulus")
     dp = recipe_design_params(design)
-    if not _companion_ok(base.order, m, dp):
+    residues = check_constraints_1_to_4(dp, m, base.order)
+    if not all(residues[key] for key in ("v_mod_p", "k_mod_p", "lambda_mod_p")):
         raise ValueError("companion design fails the residue conditions")
     return dp
 

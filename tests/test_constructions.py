@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 from importlib import resources
 
 import jsonschema
@@ -37,6 +39,9 @@ from modhadamard import (
     verify_design,
     verify_mh,
 )
+from modhadamard.constructions import _develop, _nonzero_squares
+
+from conftest import SEED
 
 
 RECIPE_SCHEMA = json.loads(
@@ -83,15 +88,65 @@ def test_paley_design():
     D, params = paley_design(11)
     assert (params.v, params.k, params.lam) == (11, 5, 2)
     assert verify_design(D, DesignParams(11, 5, 2, 0))
-    with pytest.raises(ValueError):
-        paley_design(9)
+    for q in (9, 25, 49, 13, 15):
+        with pytest.raises(ValueError):
+            paley_design(q)
+
+
+def test_paley_design_matches_definition():
+    # over a prime field, row i marks the j with j - i a nonzero square
+    for q in range(3, 200):
+        if not is_prime(q)[0] or q % 4 != 3:
+            continue
+        squares = {x * x % q for x in range(1, q)}
+        want = tuple(
+            sum(1 << j for j in range(q) if (j - i) % q in squares) for i in range(q)
+        )
+        assert paley_design(q)[0].rows == want, q
 
 
 def test_paley_design_prime_power():
-    # 27 = 3^3 needs the field construction, not integer residues
-    D, params = paley_design(27)
-    assert (params.v, params.k, params.lam) == (27, 13, 6)
-    assert verify_design(D, DesignParams(27, 13, 6, 0))
+    # these need the field construction, not integer residues
+    for q, p in ((27, 3), (243, 3), (343, 7)):
+        D, params = paley_design(q)
+        assert (params.v, params.k, params.lam) == (q, (q - 1) // 2, (q - 3) // 4)
+        assert verify_design(D, DesignParams(q, (q - 1) // 2, (q - 3) // 4, 0))
+        squares = _nonzero_squares(q)
+        assert len(squares) == (q - 1) // 2
+        assert D.rows[0] == sum(1 << j for j in squares)
+        # the constant c has index c * q / p; GF(q) has odd degree over
+        # GF(p), so a constant is a square in GF(q) exactly when it is one
+        # mod p (the non-squares would give a design too)
+        constants = {c for c in range(1, p) if c * q // p in squares}
+        assert constants == {x * x % p for x in range(1, p)}, q
+
+
+def reference_develop(mods, subset):
+    """The translates of subset, one group element at a time."""
+    elements = list(itertools.product(*[range(x) for x in mods]))
+    index = {e: i for i, e in enumerate(elements)}
+    chosen = set(subset)
+    rows = []
+    for e in elements:
+        bits = 0
+        for j, f in enumerate(elements):
+            diff = tuple((a - b) % m for a, b, m in zip(f, e, mods))
+            if index[diff] in chosen:
+                bits |= 1 << j
+        rows.append(bits)
+    return tuple(rows)
+
+
+def test_develop_matches_elementwise_reference():
+    rng = random.Random(SEED)
+    for mods in [(1,), (7,), (21,), (4, 4), (6, 6), (3, 3, 3), (2, 3, 5)]:
+        v = len(reference_develop(mods, []))
+        subsets = [[], list(range(v))]
+        subsets += [rng.sample(range(v), rng.randint(1, v)) for _ in range(8)]
+        for subset in subsets:
+            D = _develop(mods, subset)
+            assert D.v == v
+            assert D.rows == reference_develop(mods, subset), (mods, subset)
 
 
 def test_catalog_entries_verify():
@@ -334,6 +389,20 @@ def test_predicted_order_matches_materialization():
 def test_two_circulant_block():
     H, m = two_circulant("two_circ_26_5")
     assert (H.n, m) == (26, 5)
+    # [[A, B], [B^T, -A^T]] entry by entry from the bundled first rows
+    entry = json.loads(
+        resources.files("modhadamard.data").joinpath("two_circulant.json").read_text()
+    )["two_circ_26_5"]
+    a_row, b_row = ([1 if ch == "+" else -1 for ch in r] for r in entry["first_rows"])
+    b = entry["block_size"]
+    entries = [[0] * (2 * b) for _ in range(2 * b)]
+    for i in range(b):
+        for j in range(b):
+            entries[i][j] = a_row[(j - i) % b]
+            entries[i][b + j] = b_row[(j - i) % b]
+            entries[b + i][j] = b_row[(i - j) % b]
+            entries[b + i][b + j] = -a_row[(i - j) % b]
+    assert H.to_entries() == entries
     assert verify_mh(H, 5).verdict
     r = seed_two_circulant("two_circ_26_5")
     assert (r.order, r.modulus) == (26, 5)

@@ -22,6 +22,7 @@ from modhadamard import (
     materialize,
     mh_modulus_of_exact_design,
     normalize,
+    paley_design,
     parse_matrix_text,
     plan,
     verify_design,
@@ -174,6 +175,63 @@ def test_verify_design_examples():
     assert verify_design(menon, DesignParams(36, 15, 6, 7)) is True
     eye = IncidenceMatrix(4, (1, 2, 4, 8))
     assert verify_design(eye, DesignParams(4, 1, 1, 3)) is False
+
+
+def reference_design(D, params):
+    """verify_design's answer, one row, column and pair of rows at a time,
+    with the name of the first check that fails."""
+    m, v, rows = params.modulus, D.v, D.rows
+
+    def ok(x, want):
+        return x == want if m == 0 else (x - want) % m == 0
+
+    if not all(ok(r.bit_count(), params.k) for r in rows):
+        return "row"
+    if not all(ok(sum(1 for r in rows if r >> j & 1), params.k) for j in range(v)):
+        return "column"
+    for i in range(v):
+        for j in range(i + 1, v):
+            if not ok((rows[i] & rows[j]).bit_count(), params.lam):
+                return "pair"
+    return None
+
+
+def test_verify_design_matches_pairwise_reference():
+    # random rows, random rows of one weight, and circulants, so that each
+    # of the three checks is the first to fail somewhere; then designs,
+    # shuffled, with their own and a wrong lambda
+    rng = random.Random(SEED)
+    cases = []
+    for t in range(2400):
+        v = rng.randint(2, 9)
+        k = rng.randint(0, v)
+        if t % 3 == 0:
+            rows = [rng.getrandbits(v) for _ in range(v)]
+        elif t % 3 == 1:
+            rows = [sum(1 << j for j in rng.sample(range(v), k)) for _ in range(v)]
+        else:
+            first = rng.sample(range(v), k)
+            rows = [sum(1 << (i + j) % v for j in first) for i in range(v)]
+        lam = (rows[0] & rows[1]).bit_count() if rng.random() < 0.7 else rng.randint(0, v)
+        cases.append((IncidenceMatrix(v, tuple(rows)), v, k, lam, rng.choice(MODULI)))
+    designs = [catalog_design(name)[0] for name in ("fano_7_3_1", "menon_36_15_6")]
+    designs += [paley_design(q)[0] for q in (11, 27)]
+    for D in designs:
+        v, k = D.v, D.rows[0].bit_count()
+        lam = k * (k - 1) // (v - 1)
+        perm = rng.sample(range(v), v)
+        shuffled = [sum(1 << perm[j] for j in range(v) if r >> j & 1) for r in D.rows]
+        rng.shuffle(shuffled)
+        for m in MODULI:
+            for M in (D, IncidenceMatrix(v, tuple(shuffled))):
+                cases += [(M, v, k, lam, m), (M, v, k, lam + 1, m)]
+    outcomes = set()
+    for D, v, k, lam, m in cases:
+        params = DesignParams(v, k, lam, m)
+        want = reference_design(D, params)
+        assert verify_design(D, params) is (want is None), (D, params)
+        outcomes.add(want)
+    assert outcomes == {None, "row", "column", "pair"}
 
 
 def test_normalize_first_row_and_column():
