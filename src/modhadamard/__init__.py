@@ -46,6 +46,7 @@ from .existence import (
     Verdict,
     check_gcd_bound,
     decide,
+    gate_walk,
     small_case_test,
     small_even_reduction,
     special_case_2m_plus_1,

@@ -10,12 +10,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import search as search_mod
 from .constructions import (
-    CapExceeded,
     MaterializeError,
+    _jint,
     check_constraints_1_to_4,
     family10_params,
     family11_params,
@@ -23,14 +22,7 @@ from .constructions import (
     plan,
     recipe_to_json,
 )
-from .existence import (
-    NotApplicable,
-    check_gcd_bound,
-    decide,
-    small_case_test,
-    small_even_reduction,
-    verdict_to_json,
-)
+from .existence import decide, gate_walk, verdict_to_json
 from .matrices import (
     SignMatrix,
     format_matrix_text,
@@ -39,7 +31,7 @@ from .matrices import (
     verify_design,
     verify_mh,
 )
-from .numtheory import Condition1Error, condition1_search, is_prime
+from .numtheory import condition1_search, is_prime
 
 EXIT_EXISTS = 0
 EXIT_NOT_EXISTS = 1
@@ -51,56 +43,26 @@ DEFAULT_Q_LIMIT = 3000
 DEFAULT_D_LIMIT = 400
 
 
-@dataclass
-class CliConfig:
-    output_format: str = "text"
-    search_cap: int = None
-    materialize_cap: int = None
-    q_limit: int = DEFAULT_Q_LIMIT
-    d_limit: int = DEFAULT_D_LIMIT
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
-def _env_int(name):
-    raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else None
-
-
-def _setting(args, attr, env_name, default=None):
-    """The flag if given, else the environment variable if set, else default.
-
-    Tested against None, so an explicit 0 reaches the positivity check.
-    """
-    value = getattr(args, attr, None)
+def _cap(args, attr, default=None):
+    """The flag if given, else MODHADAMARD_<ATTR> if set, else default;
+    tested against None, so an explicit 0 reaches the positivity check."""
+    value = getattr(args, attr)
     if value is None:
-        value = _env_int(env_name)
-    return default if value is None else value
-
-
-def _config(args):
-    cfg = CliConfig()
-    cfg.output_format = getattr(args, "format", "text")
-    cfg.search_cap = _setting(args, "search_cap", "MODHADAMARD_SEARCH_CAP")
-    cfg.materialize_cap = _setting(args, "materialize_cap", "MODHADAMARD_MATERIALIZE_CAP")
-    cfg.q_limit = _setting(args, "q_limit", "MODHADAMARD_Q_LIMIT", DEFAULT_Q_LIMIT)
-    cfg.d_limit = _setting(args, "d_limit", "MODHADAMARD_D_LIMIT", DEFAULT_D_LIMIT)
-    for cap in (cfg.search_cap, cfg.materialize_cap, cfg.q_limit, cfg.d_limit):
-        if cap is not None and cap <= 0:
-            raise ValueError("caps must be positive")
-    return cfg
+        raw = os.environ.get("MODHADAMARD_" + attr.upper(), "").strip()
+        value = int(raw) if raw else default
+    if value is not None and value <= 0:
+        raise ValueError("caps must be positive")
+    return value
 
 
 def _emit(payload):
     print(json.dumps(payload, sort_keys=True))
-
-
-def _jint(x):
-    return x if -(2**53) < x < 2**53 else str(x)
 
 
 def _read_input(path):
@@ -111,11 +73,10 @@ def _read_input(path):
 
 
 def _cmd_decide(args):
-    cfg = _config(args)
     v = decide(
-        args.n, args.m, search_cap=cfg.search_cap, materialize_cap=cfg.materialize_cap
+        args.n, args.m, _cap(args, "search_cap"), _cap(args, "materialize_cap")
     )
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit(verdict_to_json(v))
     else:
         line = "MH(%d, %d): %s" % (args.n, args.m, v.status)
@@ -139,10 +100,10 @@ def _cmd_decide(args):
 
 
 def _cmd_construct(args):
-    cfg = _config(args)
+    materialize_cap = _cap(args, "materialize_cap")
     recipe = plan(args.n, args.m)
     if recipe is None:
-        if cfg.output_format == "json":
+        if args.format == "json":
             _emit({"m": args.m, "n": _jint(args.n), "recipe": None})
         else:
             print("no construction known for MH(%d, %d)" % (args.n, args.m))
@@ -150,12 +111,10 @@ def _cmd_construct(args):
     mat = None
     note = None
     try:
-        mat = materialize(recipe, cfg.materialize_cap)
-    except CapExceeded as exc:
-        note = "materialization cap exceeded (order %s)" % exc.order
+        mat = materialize(recipe, materialize_cap)
     except MaterializeError as exc:
         note = str(exc)
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "m": args.m,
             "n": _jint(args.n),
@@ -176,7 +135,6 @@ def _cmd_construct(args):
 
 
 def _cmd_verify(args):
-    cfg = _config(args)
     obj, meta = parse_matrix_text(_read_input(args.file))
     if isinstance(obj, SignMatrix):
         if args.command == "verify-design":
@@ -195,7 +153,7 @@ def _cmd_verify(args):
             "v": meta.v,
             "verified": ok,
         }
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit(payload)
     else:
         print("%s: %s" % (payload["kind"], "PASS" if ok else "FAIL"))
@@ -203,10 +161,9 @@ def _cmd_verify(args):
 
 
 def _cmd_search(args):
-    cfg = _config(args)
     problem = search_mod.SearchProblem(args.n, args.m, args.mode, args.goal)
     outcome = search_mod.run(problem)  # run verifies any witness it returns
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "candidate_row_count": outcome.candidate_row_count,
             "exhausted": outcome.exhausted,
@@ -244,28 +201,24 @@ def _cmd_search(args):
 
 
 def _cmd_nonexist(args):
-    cfg = _config(args)
-    gcd_reason = check_gcd_bound(args.n, args.m)
-    even_reason = small_even_reduction(args.n, args.m)
-    report = None
-    skip = None
-    try:
-        report = small_case_test(args.n, args.m)
-    except NotApplicable as exc:
-        skip = str(exc)
-    established = bool(
-        gcd_reason or even_reason or (report is not None and not report.admissible)
-    )
-    if cfg.output_format == "json":
+    findings = {}
+    for step, finding, report in gate_walk(args.n, args.m):
+        if finding or step not in findings:  # at most one GcdBound half fires
+            findings[step] = finding
+    # report is SmallOddDelta's, the last step's
+    recipe = findings.pop("Constructed")
+    established = any(findings.values())  # decide's verdict without search
+    if args.format == "json":
         payload = {
             "established": established,
-            "gcd_bound": gcd_reason,
+            "gcd_bound": findings["GcdBound"],
             "m": args.m,
             "n": args.n,
-            "small_even": even_reason,
+            "quadratic_residue": findings["QuadNonResidue"],
+            "small_even": findings["SmallEvenRealHadamard"],
         }
-        if report is None:
-            payload["delta_test"] = {"applicable": False, "why": skip}
+        if isinstance(report, str):
+            payload["delta_test"] = {"applicable": False, "why": report}
         else:
             payload["delta_test"] = {
                 "Delta": _jint(report.Delta),
@@ -276,6 +229,7 @@ def _cmd_nonexist(args):
                 "sqrt_Delta": None
                 if report.sqrt_Delta is None
                 else _jint(report.sqrt_Delta),
+                "yields_to_construction": recipe is not None,
             }
             if report.row_profile is not None:
                 alpha, beta, a, offset = report.row_profile
@@ -288,12 +242,18 @@ def _cmd_nonexist(args):
         _emit(payload)
     else:
         print("nonexistence tests for MH(%d, %d):" % (args.n, args.m))
-        print("  gcd bound: %s" % (gcd_reason or "no obstruction"))
-        print("  small even reduction: %s" % (even_reason or "no conclusion"))
-        if report is None:
-            print("  Delta test: not applicable (%s)" % skip)
+        print("  gcd bound: %s" % (findings["GcdBound"] or "no obstruction"))
+        print("  quadratic residue: %s" % (findings["QuadNonResidue"] or "no obstruction"))
+        print(
+            "  small even reduction: %s"
+            % (findings["SmallEvenRealHadamard"] or "no conclusion")
+        )
+        if isinstance(report, str):
+            print("  Delta test: not applicable (%s)" % report)
         else:
             word = "admissible" if report.admissible else "inadmissible"
+            if recipe is not None:
+                word += " (the test yields to the construction %s)" % recipe.node
             if report.sqrt_Delta is None:
                 print("  Delta = %d (not a perfect square): %s" % (report.Delta, word))
             else:
@@ -306,7 +266,8 @@ def _cmd_nonexist(args):
 
 
 def _cmd_condition1(args):
-    cfg = _config(args)
+    q_limit = _cap(args, "q_limit", DEFAULT_Q_LIMIT)
+    d_limit = _cap(args, "d_limit", DEFAULT_D_LIMIT)
     p = args.p
     prime, _ = is_prime(p)
     if not prime or p == 2:
@@ -317,18 +278,18 @@ def _cmd_condition1(args):
     rows = []
     missing = []
     for delta in deltas:
-        witness = condition1_search(p, delta, cfg.q_limit, cfg.d_limit)
+        witness = condition1_search(p, delta, q_limit, d_limit)
         if witness is None:
             missing.append(delta)
             continue
         rows.append(witness)  # condition1_search returns verified witnesses
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit(
             {
-                "d_limit": cfg.d_limit,
+                "d_limit": d_limit,
                 "missing": missing,
                 "p": p,
-                "q_limit": cfg.q_limit,
+                "q_limit": q_limit,
                 "rows": [
                     {
                         "d": w.d,
@@ -344,7 +305,7 @@ def _cmd_condition1(args):
             }
         )
     else:
-        print("condition-1 witnesses for p = %d (q <= %d, d <= %d):" % (p, cfg.q_limit, cfg.d_limit))
+        print("condition-1 witnesses for p = %d (q <= %d, d <= %d):" % (p, q_limit, d_limit))
         print("  delta     q     d  r")
         for w in rows:
             digits = len(str(w.r))
@@ -357,7 +318,6 @@ def _cmd_condition1(args):
 
 
 def _cmd_design_params(args):
-    cfg = _config(args)
     vals = args.values
     if args.family == "10":
         if len(vals) != 3:
@@ -391,7 +351,7 @@ def _cmd_design_params(args):
             raise ValueError("--p needs --n for the final residue condition")
         parity = tuple(args.parity) if args.parity else (4, 3)
         payload["constraints"] = check_constraints_1_to_4(params, args.p, args.n, parity)
-    if cfg.output_format == "json":
+    if args.format == "json":
         _emit(payload)
     else:
         for key in sorted(payload):
@@ -471,13 +431,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ValueError,
-        NotApplicable,
-        Condition1Error,
-        search_mod.LimitExceeded,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # every domain error is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

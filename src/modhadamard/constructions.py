@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .matrices import (
     DesignParams,
@@ -23,6 +23,7 @@ from .matrices import (
     _core,
     _direct_sum,
     _kron,
+    _kron_modulus,
     _read_rows,
     all_ones,
     design_to_mh,
@@ -32,7 +33,7 @@ from .matrices import (
     verify_design,
     verify_mh,
 )
-from .numtheory import euler_phi, is_prime, is_prime_power, repunit
+from .numtheory import _half_pow, is_prime, is_prime_power, repunit
 
 __all__ = [
     "CapExceeded",
@@ -71,21 +72,21 @@ __all__ = [
 DEFAULT_MATERIALIZE_CAP = 64 * 1024 * 1024
 
 
-class CapExceeded(Exception):
+class MaterializeError(Exception):
+    """The recipe cannot be built: a design in it is known only by its
+    parameters, or (CapExceeded) the matrix is too big.  It stays usable."""
+
+
+class CapExceeded(MaterializeError):
     """Materializing would exceed the byte budget.  The recipe stays usable."""
 
     def __init__(self, order, cap):
         self.order = order
         self.cap = cap
-        bits = order * order
         super().__init__(
-            "order %s needs about %s packed bytes, cap is %d"
-            % (order, (bits + 7) // 8, cap)
+            "materialization cap exceeded: order %s needs about %s packed bytes, cap is %d"
+            % (order, (order * order + 7) // 8, cap)
         )
-
-
-class MaterializeError(Exception):
-    """The recipe node is parameter-level only and has no stored matrix."""
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +425,7 @@ def check_constraints_1_to_4(params, p, n, parity=(4, 3)):
     all mod p.  Returns a dict of four booleans.
     """
     pm, pr = parity
-    c = pow(2, euler_phi(p) - 2, p)
+    c = _half_pow(p)
     return {
         "parity": params.v % pm == pr % pm,
         "v_mod_p": params.v % p == 1 % p,
@@ -526,17 +527,18 @@ def _require_mh(recipe, who):
 
 
 def kron(r1, r2):
-    """Kronecker product; modulus follows gcd(m1 m2, n1 m2, n2 m1)."""
+    """Kronecker product; the modulus follows matrices._kron_modulus."""
     _require_mh(r1, "kron")
     _require_mh(r2, "kron")
-    m = gcd(r1.modulus * r2.modulus, r1.order * r2.modulus, r2.order * r1.modulus)
+    m = _kron_modulus(r1.order, r1.modulus, r2.order, r2.modulus)
     return Recipe("Kron", (), (r1, r2), r1.order * r2.order, m, "mh")
 
 
 def double(recipe):
     """Kronecker with the exact order-2 matrix; doubles order and modulus."""
     _require_mh(recipe, "double")
-    return Recipe("Double", (), (recipe,), 2 * recipe.order, 2 * recipe.modulus, "mh")
+    m = _kron_modulus(recipe.order, recipe.modulus, 2, 0)
+    return Recipe("Double", (), (recipe,), 2 * recipe.order, m, "mh")
 
 
 def _check_extension(base, design, m, who):
@@ -592,15 +594,15 @@ def iterate(base, design, l, modulus=None):
 # serialization
 
 
+def _jint(x):
+    """x for JSON: an integer past exact double range goes out as a string."""
+    return x if -(2**53) < x < 2**53 else str(x)
+
+
 def recipe_to_json(recipe):
-    # integers past exact double range go out as decimal strings
-    args = [
-        str(a) if isinstance(a, int) and not -(2**53) < a < 2**53 else a
-        for a in recipe.args
-    ]
     return {
         "node": recipe.node,
-        "args": args,
+        "args": [_jint(a) if isinstance(a, int) else a for a in recipe.args],
         "order": str(recipe.order),
         "modulus": recipe.modulus,
         "children": [recipe_to_json(c) for c in recipe.children],
@@ -735,9 +737,9 @@ def _build(recipe):
 # planning
 
 _REACH_LIMIT = 10**8
-_reach_memo = {}
 
 
+@lru_cache(maxsize=None)
 def _exact_order_recipe(n):
     """A modulus-0 recipe of order n from the bundled seeds, if one is known.
 
@@ -748,32 +750,23 @@ def _exact_order_recipe(n):
     """
     if n < 4 or n % 4 or n > _REACH_LIMIT:
         return None
-    if n in _reach_memo:
-        return _reach_memo[n]
-    _reach_memo[n] = None
-    r = None
     if n == 4:
-        r = seed_j_minus_2i(4)
-    elif is_prime(n - 1)[0]:
-        r = seed_paley(n - 1)
-    elif n == 36:
-        r = seed_catalog("menon_36_15_6", kind="mh")
-    if r is None and n % 8 == 0:
+        return seed_j_minus_2i(4)
+    if is_prime(n - 1)[0]:
+        return seed_paley(n - 1)
+    if n == 36:
+        return seed_catalog("menon_36_15_6", kind="mh")
+    if n % 8 == 0:
         half = _exact_order_recipe(n // 2)
         if half is not None:
-            r = double(half)
-    if r is None:
-        d = 8
-        while d * d <= n:
-            if n % d == 0:
-                a = _exact_order_recipe(d)
-                b = _exact_order_recipe(n // d) if a is not None else None
-                if b is not None:
-                    r = kron(a, b)
-                    break
-            d += 4
-    _reach_memo[n] = r
-    return r
+            return double(half)
+    for d in range(8, isqrt(n) + 1, 4):
+        if n % d == 0:
+            a = _exact_order_recipe(d)
+            b = _exact_order_recipe(n // d) if a is not None else None
+            if b is not None:
+                return kron(a, b)
+    return None
 
 
 def _mh_base(n, m):
@@ -809,7 +802,7 @@ def plan(n, m):
 
     if hits(n):
         return seed_all_ones(n)
-    if hits(n - 4) and n != 3 and n != 5:
+    if hits(n - 4):
         return seed_j_minus_2i(n)
     if n % 2 == 0 and hits(n - 8) and n // 2 not in (3, 5):
         return double(seed_j_minus_2i(n // 2))

@@ -3,7 +3,8 @@
 decide(n, m) stacks the cheap necessary conditions, the small-case
 quadratic test, the construction planner and (optionally) exhaustive
 search into one auditable verdict.  Every Exists verdict carries a
-certificate; every NotExists names the test that fired.
+certificate; every NotExists names the test that fired.  gate_walk is
+the one statement of the order in which decide consults them.
 """
 
 from dataclasses import dataclass
@@ -16,14 +17,14 @@ from .constructions import (
     _CLASS_10_MOD_14_BOUND,
     _MENON_CHAIN_START,
     _PALEY11_CHAIN_STARTS,
-    CapExceeded,
-    family10_params,
+    MaterializeError,
+    _family10_giant,
     materialize,
     plan,
     recipe_to_json,
 )
 from .matrices import format_rows
-from .numtheory import euler_phi, is_perfect_square, is_prime, is_quadratic_residue
+from .numtheory import _half_pow, is_perfect_square, is_prime, is_quadratic_residue
 
 __all__ = [
     "NotApplicable",
@@ -31,6 +32,7 @@ __all__ = [
     "Verdict",
     "check_gcd_bound",
     "decide",
+    "gate_walk",
     "small_case_test",
     "small_even_reduction",
     "special_case_2m_plus_1",
@@ -74,9 +76,10 @@ def _gcd_divisibility(n, m):
 
 
 def _gcd_size(n, m):
-    if n % 2 == 0 or n % m == 0:
+    # an even m already fails the divisibility half for odd n
+    if n % 2 == 0 or m % 2 == 0 or n % m == 0:
         return None
-    r = pow(2, euler_phi(m) - 2, m) * n % m
+    r = _half_pow(m) * n % m
     if n < 4 * r:
         return "r = %d forces n >= %d, but n = %d" % (r, 4 * r, n)
     return None
@@ -93,6 +96,15 @@ def check_gcd_bound(n, m):
     return _gcd_divisibility(n, m) or _gcd_size(n, m)
 
 
+def _small_case_inapplicable(n, m):
+    """Why small_case_test does not apply to (n, m), or None."""
+    if m % 2 == 0:
+        return "even modulus"
+    if not search_mod._restricted_regime(n, m):
+        return "need odd n < 3m with gcd(n,m) = 1"
+    return None
+
+
 def small_case_test(n, m):
     """Quadratic feasibility test for odd n < 3m.
 
@@ -101,10 +113,9 @@ def small_case_test(n, m):
     matrix can only exist when Delta is a perfect square and a root is a
     nonnegative integer.
     """
-    if m % 2 == 0:
-        raise NotApplicable("even modulus")
-    if n % 2 == 0 or n >= 3 * m or gcd(n, m) != 1:
-        raise NotApplicable("need odd n < 3m with gcd(n,m) = 1")
+    why = _small_case_inapplicable(n, m)
+    if why:
+        raise NotApplicable(why)
     delta = (
         36 * m**4
         + m**3 * (4 - 28 * n)
@@ -180,7 +191,7 @@ def threshold_note(n, m):
     if r14 == 12:
         if n < _CLASS_12_MOD_14_BOUND:
             return "n = 12 (mod 14) but n < %d" % _CLASS_12_MOD_14_BOUND
-        giant = family10_params(29, 5, 6)
+        giant = _family10_giant()
         return (
             "n = 26 (mod 28) but no extension base of order n - %d is available"
             % (giant.v - 1)
@@ -197,6 +208,37 @@ def _conjecture(n, m):
     return is_quadratic_residue(n % m, m)
 
 
+def gate_walk(n, m):
+    """decide's steps for MH(n, m) in decide's order: GcdBound (divisibility),
+    QuadNonResidue, GcdBound (size), SmallEvenRealHadamard, Constructed and
+    SmallOddDelta.
+
+    Yields (step, finding, detail).  decide stops at the first finding that
+    is not None and reports its step: a gate's finding says why it fires,
+    Constructed's is plan(n, m).  SmallOddDelta's detail is its
+    SmallCaseReport, or why the test does not apply; it yields to a
+    construction, as a verified matrix outranks it.
+    """
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if m < 2:
+        raise ValueError("need m >= 2")
+    yield "GcdBound", _gcd_divisibility(n, m), None
+    fires = n % 2 and m % 2 and gcd(n, m) == 1 and not is_quadratic_residue(n % m, m)
+    yield "QuadNonResidue", "n mod m is a quadratic nonresidue" if fires else None, None
+    yield "GcdBound", _gcd_size(n, m), None
+    yield "SmallEvenRealHadamard", small_even_reduction(n, m), None
+    recipe = plan(n, m)
+    yield "Constructed", recipe, None
+    why = _small_case_inapplicable(n, m)
+    if why:
+        yield "SmallOddDelta", None, why
+        return
+    report = small_case_test(n, m)
+    fires = recipe is None and not report.admissible
+    yield "SmallOddDelta", "no admissible row count" if fires else None, report
+
+
 def decide(n, m, search_cap=None, materialize_cap=None):
     """Existence verdict for an MH(n, m).
 
@@ -204,41 +246,24 @@ def decide(n, m, search_cap=None, materialize_cap=None):
     bound; materialize_cap limits certificate materialization (the
     certificate stays symbolic past it).
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if m < 2:
-        raise ValueError("need m >= 2")
-    prediction = _conjecture(n, m)
 
     def verdict(status, reason=None, certificate=None, note=None):
-        return Verdict(n, m, status, reason, certificate, prediction, note)
+        return Verdict(n, m, status, reason, certificate, _conjecture(n, m), note)
 
-    if _gcd_divisibility(n, m):
-        return verdict("NotExists", "GcdBound")
-    if n % 2 and m % 2 and gcd(n, m) == 1:
-        if not is_quadratic_residue(n % m, m):
-            return verdict("NotExists", "QuadNonResidue")
-    if _gcd_size(n, m):
-        return verdict("NotExists", "GcdBound")
-    if small_even_reduction(n, m):
-        return verdict("NotExists", "SmallEvenRealHadamard")
-
-    recipe = plan(n, m)
-    if recipe is None and m % 2 and n % 2 and n < 3 * m and gcd(n, m) == 1:
-        # quadratic row-count test, consulted only when no construction
-        # is known: a verified matrix always outranks it
-        if not small_case_test(n, m).admissible:
-            return verdict("NotExists", "SmallOddDelta")
-    if recipe is not None:
+    for step, finding, _ in gate_walk(n, m):
+        if finding is None:
+            continue
+        if step != "Constructed":
+            return verdict("NotExists", step)
         try:
-            # materialize verifies the matrix at the recipe's modulus,
-            # a multiple of m (or 0), and raises if it fails
-            materialize(recipe, materialize_cap)
-        except CapExceeded:
-            # symbolic certificate: the recipe constructors validated
-            # every residue condition, the matrix is too big to build
+            # verifies the matrix at the recipe's modulus (a multiple of m,
+            # or 0) and raises if it fails
+            materialize(finding, materialize_cap)
+        except MaterializeError:
+            # too big, or holds a parameter-level design: the recipe, whose
+            # constructors checked every residue, is the certificate
             pass
-        return verdict("Exists", "Constructed", recipe)
+        return verdict("Exists", step, finding)
 
     outcome = _search_fallback(n, m, search_cap)
     if outcome is not None:
@@ -252,11 +277,7 @@ def decide(n, m, search_cap=None, materialize_cap=None):
 def _search_fallback(n, m, cap):
     if cap is None or n > cap:
         return None
-    restricted = (
-        m % 2 and n % 2 and n < 3 * m and gcd(n, m) == 1
-        and n <= search_mod.MAX_N_RESTRICTED
-    )
-    if restricted:
+    if search_mod._restricted_regime(n, m) and n <= search_mod.MAX_N_RESTRICTED:
         problem = search_mod.SearchProblem(n, m, "restricted", "exhaust")
     elif n <= search_mod.MAX_N_GENERIC:
         problem = search_mod.SearchProblem(n, m, "generic", "exhaust")

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
-from .numtheory import euler_phi
+from .numtheory import _half_pow
 
 __all__ = [
     "SignMatrix",
@@ -246,7 +246,7 @@ def is_normalized(H):
 
 
 def kronecker(H1, m1, H2, m2):
-    """Kronecker product with the modulus law gcd(m1 m2, n1 m2, n2 m1).
+    """Kronecker product with the modulus law of _kron_modulus.
 
     Both inputs are re-verified at their stated moduli first; the output
     order is n1*n2.
@@ -255,7 +255,13 @@ def kronecker(H1, m1, H2, m2):
         raise ValueError("left factor fails verification at modulus %d" % m1)
     if not verify_mh(H2, m2).verdict:
         raise ValueError("right factor fails verification at modulus %d" % m2)
-    return _kron(H1, H2), gcd(m1 * m2, H1.n * m2, H2.n * m1)
+    return _kron(H1, H2), _kron_modulus(H1.n, m1, H2.n, m2)
+
+
+def _kron_modulus(n1, m1, n2, m2):
+    """Modulus of the Kronecker product of an MH(n1, m1) and an MH(n2, m2):
+    rows (a, b) != (a', b') have inner product <a, a'> <b, b'>."""
+    return gcd(m1 * m2, n1 * m2, n2 * m1)
 
 
 def _kron(H1, H2):
@@ -297,9 +303,9 @@ def core_to_design(H, m):
         raise ValueError("matrix is not normalized")
     if not verify_mh(H, m).verdict:
         raise ValueError("matrix fails verification at modulus %d" % m)
-    phi = euler_phi(m)  # phi(m) >= 2 whenever m >= 3
-    k = pow(2, phi - 1, m) * (n - 2) % m
-    lam = pow(2, phi - 2, m) * (n - 4) % m
+    half = _half_pow(m)  # phi(m) >= 2 whenever m >= 3
+    k = 2 * half * (n - 2) % m
+    lam = half * (n - 4) % m
     return _core(H), DesignParams(n - 1, k, lam, m)
 
 

@@ -238,14 +238,16 @@ def mod_inverse(a, m):
     return pow(a, -1, m)
 
 
+def _half_pow(m):
+    """2**(phi(m)-2) mod m for m >= 3, even or odd; 1/4 mod m for odd m."""
+    return pow(2, euler_phi(m) - 2, m)
+
+
 def half_pow_coeff(m):
     """2**(phi(m)-2) mod m for odd m >= 3; equals the inverse of 4 mod m."""
     if m < 3 or m % 2 == 0:
         raise ValueError("need odd m >= 3")
-    phi = euler_phi(m)
-    if phi >= 2:
-        return pow(2, phi - 2, m)
-    return mod_inverse(4, m)
+    return _half_pow(m)
 
 
 def _is_qr_odd_prime_power(n, p, k):

@@ -35,6 +35,12 @@ class LimitExceeded(ValueError):
     pass
 
 
+def _restricted_regime(n, m):
+    """Odd m, odd n < 3m and gcd(n, m) = 1: every off-diagonal inner
+    product of an MH(n, m) is then exactly +m or -m."""
+    return m % 2 == 1 and n % 2 == 1 and n < 3 * m and gcd(n, m) == 1
+
+
 @dataclass(frozen=True)
 class SearchProblem:
     n: int
@@ -49,12 +55,8 @@ class SearchProblem:
             raise ValueError("mode must be generic or restricted")
         if self.goal not in ("first", "count", "exhaust"):
             raise ValueError("goal must be first, count or exhaust")
-        if self.mode == "restricted":
-            n, m = self.n, self.m
-            if m % 2 == 0 or n % 2 == 0 or n >= 3 * m or gcd(n, m) != 1:
-                raise ValueError(
-                    "restricted mode needs odd n < 3m, odd m, gcd(n,m)=1"
-                )
+        if self.mode == "restricted" and not _restricted_regime(self.n, self.m):
+            raise ValueError("restricted mode needs odd n < 3m, odd m, gcd(n,m)=1")
 
 
 @dataclass

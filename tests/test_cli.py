@@ -175,6 +175,31 @@ def test_nonexist_command(capsys):
     assert doc["delta_test"]["Delta"] == 24400
 
 
+def test_nonexist_is_decides_gate_verdict(capsys):
+    # nonexist walks decide's gates, so it refutes exactly what decide
+    # refutes without search, and a construction outranks the Delta test
+    parser = cli._build_parser()
+    for m in range(2, 31):
+        for n in range(3, 201):
+            args = parser.parse_args(["nonexist", str(n), str(m), "--format", "json"])
+            code = args.func(args)
+            doc = json.loads(capsys.readouterr().out)
+            refuted = decide(n, m, materialize_cap=1).status == "NotExists"
+            assert doc["established"] is refuted, (n, m)
+            assert code == (1 if refuted else 2), (n, m)
+    # J - 2I exists at n = m + 4 although the Delta test rejects it
+    for n, m in ((11, 7), (9, 5)):
+        code, out, _ = run_cli(capsys, "nonexist", str(n), str(m))
+        assert code == 2
+        assert "inadmissible (the test yields to the construction JMinus2I)" in out
+        assert "established: no" in out
+    code, out, _ = run_cli(capsys, "nonexist", "27", "7")
+    assert code == 1
+    assert "quadratic residue: n mod m is a quadratic nonresidue" in out
+    code, out, _ = run_cli(capsys, "nonexist", "27", "7", "--format", "json")
+    assert json.loads(out)["quadratic_residue"] == "n mod m is a quadratic nonresidue"
+
+
 def test_condition1_table(capsys):
     code, out, _ = run_cli(capsys, "condition1", "11", "5")
     assert code == 0
@@ -279,6 +304,21 @@ def test_env_var_caps(capsys, monkeypatch):
     assert code == 11
 
 
+def test_caps_read_only_by_commands_that_take_them(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "h.txt"
+    path.write_text(matrices.format_matrix_text(materialize(plan(11, 7)), 7))
+    argvs = [
+        ("verify", str(path)),
+        ("nonexist", "15", "7"),
+        ("design-params", "10", "2", "2", "6"),
+    ]
+    clean = [run_cli(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in clean] == [0, 1, 0]
+    monkeypatch.setenv("MODHADAMARD_Q_LIMIT", "0")
+    monkeypatch.setenv("MODHADAMARD_SEARCH_CAP", "0")
+    assert [run_cli(capsys, *argv) for argv in argvs] == clean
+
+
 def test_zero_limits_exit_11(capsys, monkeypatch):
     # an explicit 0 is rejected, not replaced by the default
     for flag in ("--q-limit", "--d-limit"):
@@ -323,10 +363,15 @@ def test_any_crash_exits_11(capsys, monkeypatch):
 
 def test_decide_parameter_level_certificate_does_not_exit_1(capsys):
     # the certificate of (2224, 7) contains a design known only by its
-    # parameters, so it cannot be built; that is not "does not exist"
-    code, _, err = run_cli(capsys, "decide", "2224", "7")
-    assert code == 11
-    assert "internal error:" in err and "MaterializeError" in err
+    # parameters, so it cannot be built; it stays a symbolic certificate
+    code, out, err = run_cli(capsys, "decide", "2224", "7")
+    assert code == 0 and err == ""
+    assert "Exists (Constructed)" in out and "ParamDesign" in out
+    # construct prints the recipe and says why it built no matrix
+    code, out, err = run_cli(capsys, "construct", "2224", "7")
+    assert code == 0
+    jsonschema.validate(json.loads(out), RECIPE_SCHEMA)
+    assert "parameter level" in err
 
 
 def test_certificate_verified_once(capsys, monkeypatch):

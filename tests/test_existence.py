@@ -5,8 +5,11 @@ import pytest
 from modhadamard import (
     NotApplicable,
     check_gcd_bound,
+    constructions,
     decide,
+    gate_walk,
     materialize,
+    plan,
     small_case_test,
     small_even_reduction,
     special_case_2m_plus_1,
@@ -142,6 +145,74 @@ def test_delta_test_never_overrides_a_construction():
     assert v.status == "Exists"
     H = materialize(v.certificate)
     assert verify_mh(H, 5).verdict
+
+
+def test_gate_walk_is_decides_order():
+    # decide reports the first step of the walk that finds something
+    for m in range(2, 31):
+        for n in range(3, 201):
+            found = [
+                (step, finding)
+                for step, finding, _ in gate_walk(n, m)
+                if finding is not None
+            ]
+            v = decide(n, m, materialize_cap=1)
+            if not found:
+                assert v.status == "Unknown", (n, m)
+                continue
+            step, finding = found[0]
+            assert v.reason == step, (n, m)
+            if step == "Constructed":
+                assert v.status == "Exists" and v.certificate == finding
+            else:
+                assert v.status == "NotExists"
+    steps = [step for step, _, _ in gate_walk(11, 7)]
+    assert steps == [
+        "GcdBound",
+        "QuadNonResidue",
+        "GcdBound",
+        "SmallEvenRealHadamard",
+        "Constructed",
+        "SmallOddDelta",
+    ]
+    *_, (_, finding, report) = gate_walk(11, 7)
+    assert finding is None and not report.admissible  # yields to J - 2I
+    *_, (_, finding, report) = gate_walk(15, 7)
+    assert finding is not None and report.Delta == 88592
+    *_, (_, finding, why) = gate_walk(15, 8)
+    assert finding is None and why == "even modulus"
+    with pytest.raises(ValueError):
+        list(gate_walk(9, 1))
+
+
+def _holds_param_design(recipe):
+    return recipe is not None and (
+        recipe.node == "ParamDesign" or any(map(_holds_param_design, recipe.children))
+    )
+
+
+def test_decide_parameter_level_certificates_stay_symbolic(monkeypatch):
+    # below 23,170, the largest order the default cap builds, the class
+    # 12 (mod 28) certificates that extend by family10_params(2, 2, 6)
+    # cannot be built; decide keeps them symbolic and builds nothing
+    orders = [
+        n for n in range(12, 23170, 28) if _holds_param_design(plan(n, 7))
+    ]
+    assert len(orders) == 103 and orders[:3] == [2224, 4184, 5864]
+    built = []
+    real_build = constructions._build
+
+    def counting_build(recipe):
+        mat = real_build(recipe)
+        built.append(recipe.node)
+        return mat
+
+    monkeypatch.setattr(constructions, "_build", counting_build)
+    for n in orders:
+        v = decide(n, 7)
+        assert (v.status, v.reason) == ("Exists", "Constructed"), n
+        assert v.certificate == plan(n, 7)
+    assert built == []
 
 
 def test_threshold_notes_by_class():
