@@ -16,7 +16,6 @@ from .constructions import (
     catalog_design,
     catalog_names,
     check_constraints_1_to_4,
-    direct_sum_with_design,
     double,
     family10_params,
     family11_params,

@@ -44,7 +44,6 @@ __all__ = [
     "catalog_design",
     "catalog_names",
     "check_constraints_1_to_4",
-    "direct_sum_with_design",
     "double",
     "family10_params",
     "family11_params",
@@ -423,13 +422,20 @@ def check_constraints_1_to_4(params, p, n, parity=(4, 3)):
     parity is a (modulus, residue) pair for the v congruence; the three
     modular conditions ask v = 1, k = 1 and lam = 2^(phi(p)-2) (4 - n),
     all mod p.  Returns a dict of four booleans.
+
+    p must be odd and at least 3, where 4 is invertible, and the parity
+    modulus at least 1; anything else raises ValueError.
     """
     pm, pr = parity
+    if p < 3 or p % 2 == 0:
+        raise ValueError("the residue conditions need an odd modulus p >= 3, got %r" % p)
+    if pm < 1:
+        raise ValueError("the parity modulus must be >= 1, got %r" % pm)
     c = _half_pow(p)
     return {
         "parity": params.v % pm == pr % pm,
-        "v_mod_p": params.v % p == 1 % p,
-        "k_mod_p": params.k % p == 1 % p,
+        "v_mod_p": params.v % p == 1,
+        "k_mod_p": params.k % p == 1,
         "lambda_mod_p": (params.lam - c * (4 - n)) % p == 0,
     }
 
@@ -541,53 +547,36 @@ def double(recipe):
     return Recipe("Double", (), (recipe,), 2 * recipe.order, m, "mh")
 
 
-def _check_extension(base, design, m, who):
-    _require_mh(base, who)
-    if design.kind != "design":
-        raise ValueError("%s needs a design recipe as companion" % who)
-    if m < 3 or m % 2 == 0:
-        raise ValueError("%s works at odd moduli >= 3 only" % who)
-    if base.modulus != 0 and base.modulus % m:
-        raise ValueError("base modulus %d is not divisible by %d" % (base.modulus, m))
-    if base.order < 3:
-        raise ValueError("base order %d is too small to take a core" % base.order)
-    if gcd(base.order, m) != 1:
-        raise ValueError("base order shares a factor with the modulus")
-    dp = recipe_design_params(design)
-    residues = check_constraints_1_to_4(dp, m, base.order)
-    if not all(residues[key] for key in ("v_mod_p", "k_mod_p", "lambda_mod_p")):
-        raise ValueError("companion design fails the residue conditions")
-    return dp
+def iterate(base, design, l, modulus):
+    """Extend base l times by a companion design at an odd modulus >= 3.
 
-
-def direct_sum_with_design(base, design, modulus):
-    """Extend base by a companion design: order grows by v - 1."""
-    if isinstance(design, str):
-        design = seed_catalog(design, kind="design")
-    dp = _check_extension(base, design, modulus, "direct_sum_with_design")
-    return Recipe(
-        "DirectSumWithDesign",
-        (),
-        (base, design),
-        base.order + dp.v - 1,
-        modulus,
-        "mh",
-    )
-
-
-def iterate(base, design, l, modulus=None):
-    """Apply the direct-sum extension l times; l = 0 returns base unchanged."""
+    Each round takes the core of the normalized matrix, adds the design's
+    incidence matrix as a direct summand and reads the result as a sign
+    matrix, so the order grows by v - 1.  l = 0 returns base unchanged.
+    """
     if isinstance(design, str):
         design = seed_catalog(design, kind="design")
     if not isinstance(l, int) or l < 0:
         raise ValueError("need an integer l >= 0")
     if l == 0:
         return base
-    m = base.modulus if modulus is None else modulus
-    dp = _check_extension(base, design, m, "iterate")
+    _require_mh(base, "iterate")
+    if design.kind != "design":
+        raise ValueError("iterate needs a design recipe as companion")
+    dp = recipe_design_params(design)
     # v = 1 mod m keeps the base order residue fixed, so one residue
     # check covers every round
-    return Recipe("Iterate", (l,), (base, design), base.order + l * (dp.v - 1), m, "mh")
+    residues = check_constraints_1_to_4(dp, modulus, base.order)
+    if base.modulus != 0 and base.modulus % modulus:
+        raise ValueError("base modulus %d is not divisible by %d" % (base.modulus, modulus))
+    if base.order < 3:
+        raise ValueError("base order %d is too small to take a core" % base.order)
+    if gcd(base.order, modulus) != 1:
+        raise ValueError("base order shares a factor with the modulus")
+    if not all(residues[key] for key in ("v_mod_p", "k_mod_p", "lambda_mod_p")):
+        raise ValueError("companion design fails the residue conditions")
+    order = base.order + l * (dp.v - 1)
+    return Recipe("Iterate", (l,), (base, design), order, modulus, "mh")
 
 
 # ---------------------------------------------------------------------------
@@ -631,18 +620,12 @@ def recipe_from_json(obj, kind="mh"):
         r = kron(recipe_from_json(ch[0]), recipe_from_json(ch[1]))
     elif node == "Double":
         r = double(recipe_from_json(ch[0]))
-    elif node == "DirectSumWithDesign":
-        r = direct_sum_with_design(
-            recipe_from_json(ch[0]),
-            recipe_from_json(ch[1], kind="design"),
-            int(obj["modulus"]),
-        )
     elif node == "Iterate":
         r = iterate(
             recipe_from_json(ch[0]),
             recipe_from_json(ch[1], kind="design"),
             int(args[0]),
-            modulus=int(obj["modulus"]),
+            int(obj["modulus"]),
         )
     else:
         raise ValueError("unknown recipe node %r" % node)
@@ -695,12 +678,6 @@ def materialize_design(recipe):
     raise ValueError("unknown design node %r" % recipe.node)
 
 
-def _extension_round(mat, comp_mat):
-    # iterate() and direct_sum_with_design() checked the companion's
-    # residues against the base order mod m, which every round keeps
-    return design_to_mh(_direct_sum(_core(normalize(mat)), comp_mat))
-
-
 def _build(recipe):
     """The recipe's matrix, unchecked: materialize() verifies the result."""
     node = recipe.node
@@ -720,15 +697,14 @@ def _build(recipe):
     if node == "Double":
         (a,) = recipe.children
         return _kron(_build(a), SignMatrix(2, (0, 2)))
-    if node == "DirectSumWithDesign":
-        base, design = recipe.children
-        return _extension_round(_build(base), materialize_design(design)[0])
     if node == "Iterate":
         base, design = recipe.children
+        # the design first: one known only by its parameters raises
+        # MaterializeError before any of the base is built
         comp_mat = materialize_design(design)[0]
         mat = _build(base)
         for _ in range(recipe.args[0]):
-            mat = _extension_round(mat, comp_mat)
+            mat = design_to_mh(_direct_sum(_core(normalize(mat)), comp_mat))
         return mat
     raise ValueError("unknown recipe node %r" % node)
 
@@ -769,15 +745,6 @@ def _exact_order_recipe(n):
     return None
 
 
-def _mh_base(n, m):
-    # tiny orders below plan()'s domain still occur as chain bases
-    if n == 1:
-        return seed_all_ones(1)
-    if n == 2:
-        return double(seed_all_ones(1))
-    return plan(n, m)
-
-
 @lru_cache(maxsize=None)
 def _family10_giant():
     return family10_params(29, 5, 6)
@@ -804,13 +771,13 @@ def plan(n, m):
         return seed_all_ones(n)
     if hits(n - 4):
         return seed_j_minus_2i(n)
-    if n % 2 == 0 and hits(n - 8) and n // 2 not in (3, 5):
+    if n % 2 == 0 and hits(n - 8):
         return double(seed_j_minus_2i(n // 2))
     if n % 4 == 0:
         r = _exact_order_recipe(n)
         if r is not None:
             return r
-        if hits(n - 16) and n // 4 not in (3, 5):
+        if hits(n - 16):
             return double(double(seed_j_minus_2i(n // 4)))
     if m == 5:
         return _plan_mod5(n)
@@ -843,8 +810,7 @@ def _plan_mod5(n):
     if n % 10 == 2:
         if n < 22:
             return None
-        base = direct_sum_with_design(seed_paley(11), "comp_11_6_3", 5)
-        return iterate(base, "comp_11_6_3", (n - 22) // 10, modulus=5)
+        return iterate(seed_paley(11), "comp_11_6_3", (n - 12) // 10, modulus=5)
     if n % 20 == 6:
         if n < 26:
             return None
@@ -867,7 +833,7 @@ def _plan_mod7(n):
             return None
         k = (n - _MENON_CHAIN_START) // 14
         base = double(seed_j_minus_2i(7 * k + 4))
-        return direct_sum_with_design(base, "menon_36_15_6", 7)
+        return iterate(base, "menon_36_15_6", 1, modulus=7)
     if r14 == 6:
         l = _PALEY11_CHAIN_STARTS[n % 84]
         if n < 48 + 70 * l:
@@ -889,7 +855,7 @@ def _plan_mod7(n):
         base = plan(n - 52479, 7)
         if base is None:
             return None
-        return direct_sum_with_design(base, seed_param_design(*_FAMILY12_PARAMS), 7)
+        return iterate(base, seed_param_design(*_FAMILY12_PARAMS), 1, modulus=7)
     if r14 == 10:
         if n < _CLASS_10_MOD_14_BOUND:
             return None
@@ -902,11 +868,8 @@ def _plan_mod7(n):
         if sub is None:
             return None
         r = kron(sub, seed_paley(11))
-        if a:
-            r = iterate(r, seed_param_design(f9.v, f9.k, f9.lam), a, modulus=7)
-        if b:
-            r = iterate(r, seed_param_design(f23.v, f23.k, f23.lam), b, modulus=7)
-        return r
+        r = iterate(r, seed_param_design(f9.v, f9.k, f9.lam), a, modulus=7)
+        return iterate(r, seed_param_design(f23.v, f23.k, f23.lam), b, modulus=7)
     if r14 == 12:
         if n % 28 == 12:
             f = family10_params(2, 2, 6)
@@ -914,12 +877,10 @@ def _plan_mod7(n):
             t = (n - l * (f.v - 1)) // 20
             if t < 2:
                 return None
-            sub = _mh_base(t, 7)
+            sub = double(seed_all_ones(1)) if t == 2 else plan(t, 7)
             if sub is None:
                 return None
             base = kron(sub, seed_paley(19))
-            if l == 0:
-                return base
             return iterate(base, seed_param_design(f.v, f.k, f.lam), l, modulus=7)
         giant = _family10_giant()
         n0 = n - (giant.v - 1)
@@ -928,9 +889,7 @@ def _plan_mod7(n):
         base = plan(n0, 7)
         if base is None:
             return None
-        return direct_sum_with_design(
-            base, seed_param_design(giant.v, giant.k, giant.lam), 7
-        )
+        return iterate(base, seed_param_design(giant.v, giant.k, giant.lam), 1, modulus=7)
     # 0, 4, 7, 8, 11 mod 14 are handled by the generic rules above;
     # 3, 5, 13 mod 14 are quadratic nonresidues of 7
     return None

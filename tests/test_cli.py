@@ -275,6 +275,16 @@ def test_design_params_constraints(capsys):
     }
 
 
+def test_design_params_bad_moduli_exit_11(capsys):
+    # a zero parity modulus, p = 1 and an even p are domain errors
+    for extra in (("--p", "7", "--parity", "0", "1"), ("--p", "1"), ("--p", "2")):
+        code, out, err = run_cli(
+            capsys, "design-params", "10", "2", "2", "6", "--n", "5", *extra
+        )
+        assert code == 11 and out == "", extra
+        assert "error:" in err and "internal error" not in err, extra
+
+
 def test_usage_errors_exit_10(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["decide", "57"])

@@ -13,7 +13,6 @@ from modhadamard import (
     catalog_design,
     catalog_names,
     check_constraints_1_to_4,
-    direct_sum_with_design,
     double,
     family10_params,
     family11_params,
@@ -33,6 +32,7 @@ from modhadamard import (
     seed_catalog,
     seed_j_minus_2i,
     seed_paley,
+    seed_paley_design,
     seed_param_design,
     seed_two_circulant,
     two_circulant,
@@ -243,6 +243,17 @@ def test_check_constraints_parity_selector():
     assert check_constraints_1_to_4(p, 7, 24, parity=(2, 0))["parity"] is False
 
 
+def test_check_constraints_rejects_bad_moduli():
+    # 4 must be invertible mod p, and v is reduced mod the parity modulus
+    p = family11_params(9, 3)
+    for bad in (-3, 0, 1, 2, 4):
+        with pytest.raises(ValueError):
+            check_constraints_1_to_4(p, bad, 24)
+    for pm in (0, -4):
+        with pytest.raises(ValueError):
+            check_constraints_1_to_4(p, 7, 24, parity=(pm, 3))
+
+
 def test_recipe_nodes_carry_order_and_modulus():
     r = seed_j_minus_2i(11)
     assert (r.order, r.modulus) == (11, 7)
@@ -268,10 +279,10 @@ def test_seed_rejections():
         seed_catalog("nosuch")
 
 
-def test_direct_sum_with_design_order():
+def test_single_extension_order():
     base = double(seed_j_minus_2i(11))
-    r = direct_sum_with_design(base, "menon_36_15_6", 7)
-    assert (r.order, r.modulus) == (57, 7)
+    r = iterate(base, "menon_36_15_6", 1, 7)
+    assert (r.node, r.args, r.order, r.modulus) == ("Iterate", (1,), 57, 7)
     H = materialize(r)
     assert verify_mh(H, 7).verdict
 
@@ -299,11 +310,15 @@ def test_iterate_rejects_wrong_class():
     assert base is not None and base.order % 7 == 4
     with pytest.raises(ValueError):
         iterate(base, "ds_71_15_3", 1, 7)
+    base = plan(48, 7)
+    for bad in (0, 2, 14):  # an even modulus is refused before any division
+        with pytest.raises(ValueError):
+            iterate(base, "ds_71_15_3", 1, bad)
 
 
 def test_plan_examples():
     r = plan(57, 7)
-    assert r.node == "DirectSumWithDesign"
+    assert (r.node, r.args) == ("Iterate", (1,))
     assert r.children[0].node == "Double"
     assert r.children[0].children[0].node == "JMinus2I"
     assert r.children[1].args == ("menon_36_15_6",)
@@ -416,6 +431,34 @@ def test_recipe_json_round_trip():
         back = recipe_from_json(obj)
         assert back == r
         assert json.loads(json.dumps(obj)) == obj
+
+
+def _node_enum(schema_name):
+    text = resources.files("modhadamard.data").joinpath(schema_name).read_text()
+    return json.loads(text)["$defs"]["node"]["properties"]["node"]["enum"]
+
+
+def test_schema_node_enums_match_the_code():
+    # both schemas name the same nodes, and recipe_from_json reads each back
+    names = _node_enum("recipe.schema.json")
+    assert names == _node_enum("verdict.schema.json")
+    samples = [
+        seed_all_ones(5),
+        seed_j_minus_2i(11),
+        seed_paley(11),
+        seed_paley_design(27),
+        seed_catalog("menon_36_15_6"),
+        seed_two_circulant("two_circ_26_5"),
+        seed_param_design(2185, 729, 243),
+        kron(seed_j_minus_2i(11), seed_paley(11)),
+        double(seed_j_minus_2i(11)),
+        plan(57, 7),
+    ]
+    assert sorted(r.node for r in samples) == sorted(names)
+    for r in samples:
+        obj = recipe_to_json(r)
+        jsonschema.validate(obj, RECIPE_SCHEMA)
+        assert recipe_from_json(obj) == r
 
 
 def test_recipe_json_big_orders_are_strings():

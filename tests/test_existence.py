@@ -212,6 +212,12 @@ def test_decide_parameter_level_certificates_stay_symbolic(monkeypatch):
         v = decide(n, 7)
         assert (v.status, v.reason) == ("Exists", "Constructed"), n
         assert v.certificate == plan(n, 7)
+    # the first orders that extend by (52480, 5832, 648) once: under a
+    # cap that admits them, the extension reads its design before its base
+    for n in (52495, 52565):
+        v = decide(n, 7, materialize_cap=10**10)
+        assert (v.status, v.reason) == ("Exists", "Constructed"), n
+        assert v.certificate == plan(n, 7)
     assert built == []
 
 
