@@ -318,6 +318,10 @@ def _cmd_condition1(args):
 
 
 def _cmd_design_params(args):
+    if args.p is None and (args.n is not None or args.parity):
+        raise ValueError("--n and --parity apply only with --p")
+    if args.p is not None and args.n is None:
+        raise ValueError("--p needs --n for the final residue condition")
     vals = args.values
     if args.family == "10":
         if len(vals) != 3:
@@ -347,8 +351,6 @@ def _cmd_design_params(args):
             "v": _jint(params.v),
         }
     if args.p is not None:
-        if args.n is None:
-            raise ValueError("--p needs --n for the final residue condition")
         parity = tuple(args.parity) if args.parity else (4, 3)
         payload["constraints"] = check_constraints_1_to_4(params, args.p, args.n, parity)
     if args.format == "json":

@@ -591,6 +591,7 @@ def _jint(x):
 def recipe_to_json(recipe):
     return {
         "node": recipe.node,
+        "kind": recipe.kind,
         "args": [_jint(a) if isinstance(a, int) else a for a in recipe.args],
         "order": str(recipe.order),
         "modulus": recipe.modulus,
@@ -598,8 +599,9 @@ def recipe_to_json(recipe):
     }
 
 
-def recipe_from_json(obj, kind="mh"):
+def recipe_from_json(obj):
     node = obj["node"]
+    kind = obj["kind"]
     args = obj.get("args", [])
     ch = obj.get("children", [])
     if node == "AllOnes":
@@ -623,14 +625,14 @@ def recipe_from_json(obj, kind="mh"):
     elif node == "Iterate":
         r = iterate(
             recipe_from_json(ch[0]),
-            recipe_from_json(ch[1], kind="design"),
+            recipe_from_json(ch[1]),
             int(args[0]),
             int(obj["modulus"]),
         )
     else:
         raise ValueError("unknown recipe node %r" % node)
-    if r.order != int(obj["order"]) or r.modulus != int(obj["modulus"]):
-        raise ValueError("stored order/modulus disagree with the reconstruction")
+    if r.kind != kind or r.order != int(obj["order"]) or r.modulus != int(obj["modulus"]):
+        raise ValueError("stored kind/order/modulus disagree with the reconstruction")
     return r
 
 

@@ -6,6 +6,7 @@ Primality is deterministic below 2**64 and probabilistic (flagged) above.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "NotInvertible",
@@ -306,6 +307,14 @@ def _iroot(x, e):
     return r
 
 
+@lru_cache(maxsize=None)
+def _power_residue_moduli(e):
+    """Up to four primes l = 1 mod e below the sieve limit.  For x prime
+    to l, an e-th power x = b**e has x**((l - 1) / e) = b**(l - 1) = 1
+    mod l, so any other residue shows that x is no e-th power."""
+    return tuple([ell for ell in _SMALL_PRIMES if ell % e == 1][:4])
+
+
 @dataclass(frozen=True)
 class PrimePower:
     base: int
@@ -332,10 +341,13 @@ def is_prime_power(x):
             return PrimePower(p, e, False) if y == 1 else None
     # no factor below the sieve limit, so any base exceeds it and the
     # exponent is at most bit_length/13; it suffices to peel prime
-    # exponents and recurse on the root
+    # exponents and recurse on the root.  x is prime to every l below the
+    # limit, so the power residue test of each l applies
     max_e = x.bit_length() // 13 + 1
     for e in range(2, max_e + 1):
         if e <= _sieve_limit and not _sieve[e]:
+            continue
+        if any(pow(x, (ell - 1) // e, ell) != 1 for ell in _power_residue_moduli(e)):
             continue
         b = _iroot(x, e)
         if b**e == x:
@@ -343,6 +355,9 @@ def is_prime_power(x):
             if inner is None:
                 return None
             return PrimePower(inner.base, inner.exponent * e, inner.probabilistic)
+    if x >> 64:
+        # the trial division of is_prime is done above
+        return PrimePower(x, 1, True) if _bpsw(x) else None
     prime, prob = is_prime(x)
     return PrimePower(x, 1, prob) if prime else None
 

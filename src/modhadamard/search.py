@@ -161,6 +161,15 @@ def _solve_subtree(start, all_after, compat, mask, need, allow_repeat, goal, cou
     return best, count
 
 
+def _canonical_second(x, w):
+    """The least row of x's class under the column stabilizer of the
+    canonical row of weight w: the lowest a columns of block 1..w plus the
+    lowest popcount(x) - a columns of block w+1..n-1, a = x's overlap with
+    block 1..w."""
+    a = (x & ((1 << w) - 1) << 1).bit_count()
+    return ((1 << a) - 1) << 1 | ((1 << (x.bit_count() - a)) - 1) << (w + 1)
+
+
 def run(problem, max_n=None, log_branches=False):
     """Execute the search.
 
@@ -173,23 +182,36 @@ def run(problem, max_n=None, log_branches=False):
     "first" returns None when it finds none and otherwise runs the
     unreduced "first" as well, so the witness is still the lex-least one
     and nodes_visited counts both passes.  log_branches records one entry
-    per start of each pass.  Raises LimitExceeded when n is beyond the
-    configured bound for the mode.
+    per DFS start of each pass: its start index, and in the reduced pass
+    also `rep`, the index of its canonical first row.  Raises
+    LimitExceeded when n is beyond the configured bound for the mode.
 
     Soundness of the reduction.  Both modes admit a row by its weight
     alone, and two rows a, b are compatible exactly when
     n - 2 popcount(a ^ b) vanishes modulo m.  A permutation of columns
     1..n-1 keeps weights and popcount(a ^ b), so it maps candidates to
     candidates, compatible pairs to compatible pairs and solutions to
-    solutions.  Take any solution and any row in it, of weight w: some such
-    permutation maps that row to the canonical row ((1 << w) - 1) << 1,
-    and the solution to one that contains it.  So a solution exists if and
-    only if one exists that contains the canonical row of some weight.  The
-    reduced search order puts the canonical rows first, one per weight
-    present, then the other candidates in ascending order.  The DFS from
-    start s enumerates exactly the sets whose smallest index in that order
-    is s, so starts 0..len(reps)-1 together cover every set that contains a
-    canonical row, each once.
+    solutions.  Any row of weight w is mapped by some such permutation to
+    the canonical row ((1 << w) - 1) << 1.  Let reps be the canonical rows,
+    one per weight present, in ascending order, and suppose a solution
+    exists.  Take the smallest index j* such that some solution contains
+    reps[j*]; no solution contains an earlier rep.  The stabilizer of
+    c0 = reps[j*], of weight w, permutes columns 1..w and w+1..n-1
+    separately, so it maps a row x to every row of the same class
+    (a, popcount(x)), a = popcount(x & c0), and to none other.  Each
+    class holds one canonical second row: the lowest a columns of the first
+    block plus the lowest popcount(x) - a of the second.  Take a solution
+    holding c0 and any other row x in it; a stabilizer element maps it to a
+    solution holding c0 and x's canonical second row, and by the minimality
+    of j* that solution holds no earlier rep.  With a row allowed to
+    repeat, x may be a second copy of c0, which is its own class (w, w).
+    The reduced search therefore runs, for each j, over the pool of
+    candidates compatible with reps[j] that are not earlier reps, with
+    reps[j] implicit: the pool's canonical second rows come first, then
+    the other pool rows, and the DFS from start s enumerates exactly the
+    pool sets whose smallest index in that order is s.  The starts over
+    the canonical second rows together cover every set that holds one, each
+    once, so the branch of j* finds a solution.
     """
     n, m = problem.n, problem.m
     cap = max_n if max_n is not None else (
@@ -208,9 +230,10 @@ def run(problem, max_n=None, log_branches=False):
     allow_repeat = n % m == 0
     branch_records = []
 
-    def traverse(order, starts, goal):
-        """DFS from each start over `order`: (sorted witness rows or None,
-        nodes, solutions).  goal "first" stops at the first witness."""
+    def traverse(order, starts, goal, fixed=(), label=None):
+        """DFS from each start over `order`, below the rows `fixed`:
+        (sorted witness rows or None, nodes, solutions).  goal "first"
+        stops at the first witness."""
         compat = [None] * k
         mask = _compat_mask(order, n, m)
         nodes = 0
@@ -219,25 +242,44 @@ def run(problem, max_n=None, log_branches=False):
         for start in starts:
             counter = [0]
             rows, cnt = _solve_subtree(
-                start, all_after, compat, mask, n - 1, allow_repeat, goal, counter
+                start, all_after, compat, mask, n - 1 - len(fixed), allow_repeat,
+                goal, counter,
             )
             nodes += counter[0]
             total += cnt
             if log_branches:
                 branch_records.append(
-                    {"start": start, "nodes": counter[0], "solutions": cnt}
+                    dict(label or {}, start=start, nodes=counter[0], solutions=cnt)
                 )
             if rows is not None and best is None:
-                best = sorted(order[i] for i in rows)
+                best = sorted(list(fixed) + [order[i] for i in rows])
                 if goal == "first":
                     break
         return best, nodes, total
 
-    if problem.symmetry and problem.goal != "count":
+    def reduced():
         reps = sorted({((1 << c.bit_count()) - 1) << 1 for c in cands})
         rest = set(cands).difference(reps)
         order = reps + [c for c in cands if c in rest]
-        best, nodes, total = traverse(order, range(len(reps)), "first")
+        if n == 2:  # a first row alone completes the matrix
+            return reps[:1], 0, 1
+        nodes = 0
+        for j, c0 in enumerate(reps):
+            w = c0.bit_count()
+            pool = [x for x in order[j:] if (n - 2 * (x ^ c0).bit_count()) % m == 0]
+            classes = {_canonical_second(x, w) for x in pool}
+            seconds = sorted(classes.intersection(pool))
+            order2 = seconds + [x for x in pool if x not in classes]
+            best, sub_nodes, total = traverse(
+                order2, range(len(seconds)), "first", (c0,), {"rep": j}
+            )
+            nodes += sub_nodes
+            if best is not None:
+                return best, nodes, total
+        return None, nodes, 0
+
+    if problem.symmetry and problem.goal != "count":
+        best, nodes, total = reduced()
         if best is not None and problem.goal == "first":
             best, full_nodes, total = traverse(cands, range(k), "first")
             nodes += full_nodes

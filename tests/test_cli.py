@@ -285,6 +285,13 @@ def test_design_params_bad_moduli_exit_11(capsys):
         assert "error:" in err and "internal error" not in err, extra
 
 
+def test_design_params_constraint_flags_need_p(capsys):
+    for extra in (("--n", "5", "--parity", "0", "1"), ("--n", "5"), ("--parity", "4", "3")):
+        code, out, err = run_cli(capsys, "design-params", "10", "2", "2", "6", *extra)
+        assert code == 11 and out == "", extra
+        assert "error:" in err and "internal error" not in err, extra
+
+
 def test_usage_errors_exit_10(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["decide", "57"])

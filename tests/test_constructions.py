@@ -461,6 +461,24 @@ def test_schema_node_enums_match_the_code():
         assert recipe_from_json(obj) == r
 
 
+def test_recipe_json_keeps_the_kind():
+    # a catalog design and its matrix reading share node, order and modulus
+    for r in (
+        seed_catalog("menon_36_15_6", kind="design"),
+        seed_catalog("menon_36_15_6"),
+        seed_paley_design(27),
+        seed_param_design(2185, 729, 243),
+    ):
+        obj = recipe_to_json(r)
+        jsonschema.validate(obj, RECIPE_SCHEMA)
+        assert obj["kind"] == r.kind
+        assert recipe_from_json(obj) == r
+    obj = recipe_to_json(double(seed_j_minus_2i(11)))
+    obj["kind"] = "design"
+    with pytest.raises(ValueError):
+        recipe_from_json(obj)
+
+
 def test_recipe_json_big_orders_are_strings():
     big = plan(4481157543653329008412788039760691035 - 1 + 12, 7)
     assert big is not None

@@ -20,6 +20,7 @@ from modhadamard import (
     repunit,
 )
 from modhadamard.numtheory import (
+    PrimePower,
     _bpsw,
     _has_two_primes,
     _miller_rabin_round,
@@ -173,6 +174,22 @@ def test_is_prime_power():
     assert (pp.base, pp.exponent) == (2, 10)
     with pytest.raises(ValueError):
         is_prime_power(1)
+
+
+def test_is_prime_power_bases_past_the_sieve():
+    # bases above 10**4 take the root and power residue path; 2**89 - 1
+    # is past 2**64, so its primality is probabilistic
+    for b, prob in ((10007, False), (2**31 - 1, False), (2**89 - 1, True)):
+        for e in (1, 2, 3, 4, 5, 6, 7, 11, 13, 30):
+            x = b**e
+            assert is_prime_power(x) == PrimePower(b, e, prob), (b, e)
+            for y in (x - 2, x + 2):
+                prime, flag = is_prime(y)
+                want = PrimePower(y, 1, flag) if prime else None
+                assert is_prime_power(y) == want, (b, e)
+    for e in (1, 2, 3, 7):
+        assert is_prime_power((10007 * 10009) ** e) is None
+        assert is_prime_power((2**61 - 1) ** e * (2**89 - 1)) is None
 
 
 def test_repunit():

@@ -6,6 +6,7 @@ from modhadamard import (
     LimitExceeded,
     SearchProblem,
     candidate_rows,
+    decide,
     j_minus_2i,
     run,
     verify_mh,
@@ -156,16 +157,37 @@ def test_symmetry_reduction_agrees_with_full_search():
     assert refuted
 
 
+def test_two_level_reduction_agrees_at_orders_13_and_15():
+    """The restricted instances past the n <= 11 grid above: the reduced
+    exhaust against the unreduced one, and against decide's gates where
+    the unreduced traversal visits tens of millions of nodes."""
+    gates = {(13, 5): "QuadNonResidue", (15, 7): "SmallOddDelta"}
+    for n, m in _restricted_instances(15):
+        if n < 13:
+            continue
+        on = run(SearchProblem(n, m, "restricted", "exhaust"))
+        assert on.exhausted and on.solutions in (0, 1)
+        assert on.found is None or verify_mh(on.found, m).verdict
+        if (n, m) in gates:
+            v = decide(n, m)
+            assert (v.status, v.reason) == ("NotExists", gates[n, m])
+            assert on.found is None, (n, m)
+        else:
+            off = run(SearchProblem(n, m, "restricted", "exhaust", symmetry=False))
+            assert (on.found is None) == (off.found is None), (n, m)
+
+
 def test_reduced_node_counts():
     # node counts are the machine-independent measure of the search
-    pinned = {(11, 5): 2, (13, 5): 248972, (15, 7): 691550}
-    for (n, m), nodes in pinned.items():
+    both = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    pinned = {(11, 5): (0, []), (13, 5): (9822, both), (15, 7): (18062, both)}
+    for (n, m), (nodes, starts) in pinned.items():
         out = run(SearchProblem(n, m, "restricted", "exhaust"), log_branches=True)
         assert out.exhausted and out.found is None and out.solutions == 0
         assert out.nodes_visited == nodes
-        # one branch per weight class's canonical row
+        # one branch per (canonical first row, canonical second row) start
         branches = out.log["branches"]
-        assert [b["start"] for b in branches] == [0, 1]
+        assert [(b["rep"], b["start"]) for b in branches] == starts
         assert sum(b["nodes"] for b in branches) == nodes
     # the unreduced traversal is unchanged
     off = run(SearchProblem(11, 5, "restricted", "exhaust", symmetry=False))
@@ -175,8 +197,10 @@ def test_reduced_node_counts():
 def test_first_settles_refuted_instance_by_reduced_search():
     out = run(SearchProblem(13, 5, "restricted", "first"), log_branches=True)
     assert out.exhausted and out.found is None and out.solutions == 0
-    assert out.nodes_visited == 248972  # the reduced exhaust's count
-    assert [b["start"] for b in out.log["branches"]] == [0, 1]
+    assert out.nodes_visited == 9822  # the reduced exhaust's count
+    assert [(b["rep"], b["start"]) for b in out.log["branches"]] == [
+        (0, 0), (0, 1), (1, 0), (1, 1)
+    ]
 
 
 def test_first_with_symmetry_keeps_lex_least_witness():
