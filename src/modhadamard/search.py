@@ -14,7 +14,6 @@ candidate set to a few thousand rows.
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import gcd
 
 from .matrices import SignMatrix, verify_mh
@@ -84,11 +83,25 @@ def candidate_rows(n, m, mode):
         weights = {w for w in range(n) if (n - 2 * w) % m == 0}
     else:
         raise ValueError("unknown mode %r" % mode)
-    return sorted(
-        sum(1 << j for j in cols)
-        for w in weights
-        for cols in combinations(range(1, n), w)
-    )
+    return sorted(x << 1 for w in weights for x in _weight_rows(n - 1, w))
+
+
+def _weight_rows(bits, w):
+    """Every `bits`-bit value with w set bits, ascending, by Gosper's
+    next-combination step: add the lowest set bit, which carries through
+    the lowest run of ones, then put that run, one shorter, back at the
+    bottom."""
+    if w == 0:
+        return [0]
+    out = []
+    x = (1 << w) - 1
+    end = 1 << bits
+    while x < end:
+        out.append(x)
+        c = x & -x
+        r = x + c
+        x = r | (r ^ x) >> (c.bit_length() + 1)
+    return out
 
 
 def _candidate_digest(cands):
@@ -115,50 +128,80 @@ def _compat_mask(order, n, m):
     return mask
 
 
-def _solve_subtree(start, all_after, compat, mask, need, allow_repeat, goal, counter):
-    """DFS below first-level choice `start`. Returns (witness_rows, count).
+def _solve_subtree(start, compat, mask, need, allow_repeat, goal):
+    """DFS below first-level choice `start` for sets of `need` rows.
 
-    all_after[i] has the bits of the candidates after i.  compat[i] is the
-    compatibility mask of candidate i, or None until mask(i) builds it on
-    the first read.
+    Returns (witness_rows, solutions, nodes).  compat[i] is the
+    compatibility mask of candidate i, or None until mask(i) builds it
+    when candidate i is first visited.
+
+    The DFS keeps one level per depth: the bitmask of the children not yet
+    visited, the `allowed` mask of the chosen rows (`path`, indexed by
+    depth) and the number of children left to visit.  Children are visited
+    in place, lowest first.  A node's children are the candidates above it
+    (from it on, when a row may repeat) that are compatible with every row
+    on the path; a node with too few of them to complete the set is pruned.
+
+    `nodes` is exactly the count of the plain DFS that pushes every child
+    and pops the lowest first, counting pruned nodes and leaves, and that
+    stops at its first leaf for goal "first".  Two shortcuts keep it so.
+    The children of a node at depth need - 1 are leaves, one node and one
+    solution each, so such a node is handled inline by its parent: one
+    popcount counts its leaves, the lowest being the witness.  Without
+    repeats, the last need - d - 1 children of a node at depth d have fewer
+    than need - d - 1 candidates above them, so each is pruned as soon as
+    the plain DFS pops it; they are counted in bulk when the level ends,
+    where the plain DFS pops them.  Either way goal "first" counts no node
+    after its witness: leaves are counted singly up to it, and a bulk count
+    comes after every earlier sibling's subtree.
     """
+    if need == 1:  # the start alone completes the set
+        return [start], 1, 1
+    shift = 0 if allow_repeat else 1
     best = None
-    count = 0
-    if compat[start] is None:
-        compat[start] = mask(start)
-    # stack entries: (chosen list, allowed mask, floor index)
-    stack = [([start], compat[start], start)]
-    while stack:
-        chosen, allowed, floor = stack.pop()
-        counter[0] += 1
-        depth = len(chosen)
-        if depth == need:
-            count += 1
-            if best is None:
-                best = list(chosen)
-                if goal == "first":
-                    return best, count
+    count = nodes = 0
+    path = []
+    levels = []
+    # the level above the start (depth 0), with the start its only child
+    todo, allowed, left, skip, depth = 1 << start, -1, 1, 0, 0
+    while True:
+        if not left:
+            nodes += skip
+            if not levels:
+                return best, count, nodes
+            todo, allowed, left, skip = levels.pop()
+            path.pop()
+            depth -= 1
             continue
-        rest = allowed & all_after[floor] if not allow_repeat else allowed & (
-            all_after[floor] | (1 << floor)
-        )
-        if rest.bit_count() < need - depth and not (
-            allow_repeat and rest
-        ):
+        b = todo & -todo
+        todo ^= b
+        left -= 1
+        idx = b.bit_length() - 1
+        row = compat[idx]
+        if row is None:
+            row = compat[idx] = mask(idx)
+        a2 = allowed & row
+        r2 = a2 >> (idx + shift) << (idx + shift)
+        c = r2.bit_count()
+        nodes += 1
+        if depth + 2 == need:  # the child's children are leaves
+            if c:
+                if best is None:
+                    best = path + [idx, (r2 & -r2).bit_length() - 1]
+                    if goal == "first":
+                        return best, 1, nodes + 1
+                nodes += c
+                count += c
             continue
-        # push in reverse so the smallest candidate pops first
-        picks = []
-        x = rest
-        while x:
-            b = x & -x
-            picks.append(b.bit_length() - 1)
-            x ^= b
-        for idx in reversed(picks):
-            row = compat[idx]
-            if row is None:
-                row = compat[idx] = mask(idx)
-            stack.append((chosen + [idx], allowed & row, idx))
-    return best, count
+        # the child's bulk count; a child with no more candidates than
+        # that cannot complete the set and is pruned
+        child_skip = 0 if allow_repeat else need - depth - 2
+        if c <= child_skip:
+            continue
+        levels.append((todo, allowed, left, skip))
+        path.append(idx)
+        depth += 1
+        todo, allowed, left, skip = r2, a2, c - child_skip, child_skip
 
 
 def _canonical_second(x, w):
@@ -224,7 +267,6 @@ def run(problem, max_n=None, log_branches=False):
     outcome_log = {"candidate_digest": _candidate_digest(cands)}
     if k == 0:
         return SearchOutcome(None, True, 0, 0, 0, outcome_log)
-    all_after = [(1 << k) - 1 >> (i + 1) << (i + 1) for i in range(k)]
     # a row may repeat exactly when it is compatible with itself, i.e.
     # <r, r> = n vanishes at the modulus
     allow_repeat = n % m == 0
@@ -240,16 +282,14 @@ def run(problem, max_n=None, log_branches=False):
         best = None
         total = 0
         for start in starts:
-            counter = [0]
-            rows, cnt = _solve_subtree(
-                start, all_after, compat, mask, n - 1 - len(fixed), allow_repeat,
-                goal, counter,
+            rows, cnt, sub_nodes = _solve_subtree(
+                start, compat, mask, n - 1 - len(fixed), allow_repeat, goal
             )
-            nodes += counter[0]
+            nodes += sub_nodes
             total += cnt
             if log_branches:
                 branch_records.append(
-                    dict(label or {}, start=start, nodes=counter[0], solutions=cnt)
+                    dict(label or {}, start=start, nodes=sub_nodes, solutions=cnt)
                 )
             if rows is not None and best is None:
                 best = sorted(list(fixed) + [order[i] for i in rows])

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from math import gcd
 
 import pytest
@@ -192,6 +195,77 @@ def test_reduced_node_counts():
     # the unreduced traversal is unchanged
     off = run(SearchProblem(11, 5, "restricted", "exhaust", symmetry=False))
     assert off.nodes_visited == 165
+
+
+def test_unreduced_node_counts():
+    # count runs unreduced: node counts of the plain DFS that visits every
+    # child, over whole trees rather than the pruned starts above
+    for n, m, nodes, solutions in [(9, 3, 108872, 39873), (10, 3, 161359, 1270),
+                                   (10, 6, 161359, 1270)]:
+        out = run(SearchProblem(n, m, "generic", "count"))
+        assert (out.nodes_visited, out.solutions) == (nodes, solutions), (n, m)
+    # the lex-least witness over 8,192 candidate rows, without building
+    # the compatibility mask of every child of each node on the way
+    out = run(SearchProblem(14, 2), max_n=14)
+    assert out.found is not None and out.nodes_visited == 25
+
+
+def _reference_search(n, m, mode):
+    """Row sets completing an all-ones first row to an MH(n, m), by plain
+    recursion over +-1 vectors: multisets when a row may repeat (n % m == 0,
+    so a row is orthogonal to itself modulo m), sets otherwise.  Returns
+    their number and the lex-least one (None when there is none)."""
+    rows = candidate_rows(n, m, mode)
+    vecs = [[-1 if r >> j & 1 else 1 for j in range(n)] for r in rows]
+    ok = [[sum(x * y for x, y in zip(a, b)) % m == 0 for b in vecs] for a in vecs]
+    step = 0 if n % m == 0 else 1
+    first = []
+
+    def extend(chosen, lo):
+        if len(chosen) == n - 1:
+            if not first:
+                first.extend(rows[i] for i in chosen)
+            return 1
+        return sum(extend(chosen + [i], i + step) for i in range(lo, len(vecs))
+                   if all(ok[i][j] for j in chosen))
+
+    return extend([], 0), first or None
+
+
+def test_count_and_first_match_reference_search():
+    grid = [(n, m, "generic") for n in range(2, 8) for m in range(2, 10)]
+    grid += [(n, m, "restricted") for n, m in _restricted_instances(11)]
+    for n, m, mode in grid:
+        count, first = _reference_search(n, m, mode)
+        assert run(SearchProblem(n, m, mode, "count")).solutions == count, (n, m, mode)
+        for symmetry in (True, False):
+            found = run(SearchProblem(n, m, mode, "first", symmetry=symmetry)).found
+            got = None if found is None else list(found.rows)
+            assert got == (None if first is None else [0] + first), (n, m, mode, symmetry)
+
+
+MEMORY_CHECK = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from modhadamard import SearchProblem, run
+out = run(SearchProblem(23, 9, "restricted", "exhaust"))
+assert out.exhausted and out.found is None and out.nodes_visited == 0, out
+"""
+
+
+def test_large_candidate_set_within_memory_limit():
+    # 245,157 candidate rows: no table of one k-bit mask per candidate may
+    # be built up front, so the refutation fits in 1 GiB of address space
+    pytest.importorskip("resource")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_CHECK],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_first_settles_refuted_instance_by_reduced_search():
