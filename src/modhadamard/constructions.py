@@ -845,7 +845,8 @@ def _plan_mod7(n):
         return iterate(base, "ds_71_15_3", l, modulus=7)
     if r14 == 2:
         if n % 28 == 2:
-            if n < 86:
+            # the Double of the Menon chain at n / 2
+            if n < 2 * _MENON_CHAIN_START:
                 return None
             half = plan(n // 2, 7)
             return None if half is None else double(half)

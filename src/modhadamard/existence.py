@@ -184,6 +184,8 @@ def threshold_note(n, m):
         lo = 48 + 70 * _PALEY11_CHAIN_STARTS[n % 84]
         if n < lo:
             return "n = 6 (mod 14) but n < %d" % lo
+    if n % 28 == 2 and n < 2 * _MENON_CHAIN_START:
+        return "n = 2 (mod 28) but n < %d" % (2 * _MENON_CHAIN_START)
     if n % 7 == 2 and n < _CLASS_2_MOD_7_BOUND:
         return "n = 2 (mod 7) but n < %d" % _CLASS_2_MOD_7_BOUND
     if r14 == 10 and n < _CLASS_10_MOD_14_BOUND:
@@ -243,8 +245,8 @@ def decide(n, m, search_cap=None, materialize_cap=None):
     """Existence verdict for an MH(n, m).
 
     search_cap enables the exhaustive-search fallback for n up to that
-    bound; materialize_cap limits certificate materialization (the
-    certificate stays symbolic past it).
+    bound and the search's own cap; materialize_cap limits certificate
+    materialization (the certificate stays symbolic past it).
     """
 
     def verdict(status, reason=None, certificate=None, note=None):
@@ -269,21 +271,17 @@ def decide(n, m, search_cap=None, materialize_cap=None):
     if outcome is not None:
         if outcome.found is not None:
             return verdict("Exists", "SearchFound", outcome.found)
-        if outcome.exhausted:
-            return verdict("NotExists", "SearchExhausted")
+        return verdict("NotExists", "SearchExhausted")  # exhaust found none
     return verdict("Unknown", "ThresholdNotMet", note=threshold_note(n, m))
 
 
 def _search_fallback(n, m, cap):
     if cap is None or n > cap:
         return None
-    if search_mod._restricted_regime(n, m) and n <= search_mod.MAX_N_RESTRICTED:
-        problem = search_mod.SearchProblem(n, m, "restricted", "exhaust")
-    elif n <= search_mod.MAX_N_GENERIC:
-        problem = search_mod.SearchProblem(n, m, "generic", "exhaust")
-    else:
+    try:
+        return search_mod.run(search_mod.SearchProblem(n, m, goal="exhaust"))
+    except search_mod.LimitExceeded:  # past the search's own cap: no search
         return None
-    return search_mod.run(problem)
 
 
 def verdict_to_json(v):

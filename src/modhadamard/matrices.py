@@ -19,17 +19,21 @@ from .numtheory import _half_pow
 __all__ = [
     "SignMatrix",
     "IncidenceMatrix",
+    "all_ones",
+    "j_minus_2i",
     "DesignParams",
     "GramReport",
     "residue",
     "verify_mh",
     "verify_design",
     "normalize",
+    "is_normalized",
     "kronecker",
     "core_to_design",
     "direct_sum",
     "dsum_check",
     "design_to_mh",
+    "mh_modulus_of_exact_design",
     "det_squared_mod",
     "parse_matrix_text",
     "format_matrix_text",
@@ -48,6 +52,35 @@ def _congruent(x, y, m):
     return x == y if m == 0 else (x - y) % m == 0
 
 
+def _check_rows(order, rows):
+    """Positive order, `order` rows, and no bit at or past column `order`."""
+    if order < 1:
+        raise ValueError("order must be positive")
+    if len(rows) != order:
+        raise ValueError("row count != order")
+    mask = (1 << order) - 1
+    for r in rows:
+        if not 0 <= r <= mask:
+            raise ValueError("row bits out of range")
+
+
+def _pack_entries(entries, set_entry, clear_entry, message):
+    """(order, packed rows) of square entries; `set_entry` is a set bit."""
+    order = len(entries)
+    rows = []
+    for row in entries:
+        if len(row) != order:
+            raise ValueError("matrix not square")
+        bits = 0
+        for j, e in enumerate(row):
+            if e == set_entry:
+                bits |= 1 << j
+            elif e != clear_entry:
+                raise ValueError(message)
+        rows.append(bits)
+    return order, tuple(rows)
+
+
 @dataclass(frozen=True)
 class SignMatrix:
     """Square matrix over {+1, -1}, rows bit-packed (set bit = -1)."""
@@ -56,30 +89,11 @@ class SignMatrix:
     rows: tuple
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("order must be positive")
-        if len(self.rows) != self.n:
-            raise ValueError("row count != order")
-        mask = (1 << self.n) - 1
-        for r in self.rows:
-            if not 0 <= r <= mask:
-                raise ValueError("row bits out of range")
+        _check_rows(self.n, self.rows)
 
     @classmethod
     def from_entries(cls, entries):
-        n = len(entries)
-        rows = []
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("matrix not square")
-            bits = 0
-            for j, e in enumerate(row):
-                if e == -1:
-                    bits |= 1 << j
-                elif e != 1:
-                    raise ValueError("entries must be +1 or -1")
-            rows.append(bits)
-        return cls(n, tuple(rows))
+        return cls(*_pack_entries(entries, -1, 1, "entries must be +1 or -1"))
 
     def entry(self, i, j):
         return -1 if (self.rows[i] >> j) & 1 else 1
@@ -109,30 +123,11 @@ class IncidenceMatrix:
     rows: tuple
 
     def __post_init__(self):
-        if self.v < 1:
-            raise ValueError("order must be positive")
-        if len(self.rows) != self.v:
-            raise ValueError("row count != order")
-        mask = (1 << self.v) - 1
-        for r in self.rows:
-            if not 0 <= r <= mask:
-                raise ValueError("row bits out of range")
+        _check_rows(self.v, self.rows)
 
     @classmethod
     def from_entries(cls, entries):
-        v = len(entries)
-        rows = []
-        for row in entries:
-            if len(row) != v:
-                raise ValueError("matrix not square")
-            bits = 0
-            for j, e in enumerate(row):
-                if e == 1:
-                    bits |= 1 << j
-                elif e != 0:
-                    raise ValueError("entries must be 0 or 1")
-            rows.append(bits)
-        return cls(v, tuple(rows))
+        return cls(*_pack_entries(entries, 1, 0, "entries must be 0 or 1"))
 
     def entry(self, i, j):
         return (self.rows[i] >> j) & 1

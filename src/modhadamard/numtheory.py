@@ -13,6 +13,7 @@ __all__ = [
     "NotCoprime",
     "Condition1Error",
     "Condition1Witness",
+    "PrimePower",
     "euler_phi",
     "factorize",
     "mod_inverse",

@@ -50,6 +50,8 @@ class SearchProblem:
     symmetry: bool = True
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("order must be >= 2")
         if self.mode not in ("generic", "restricted"):
             raise ValueError("mode must be generic or restricted")
         if self.goal not in ("first", "count", "exhaust"):
@@ -72,17 +74,17 @@ def candidate_rows(n, m, mode):
     """Bit-packed rows admissible below an all-ones first row, ascending.
 
     Bit j set means -1 in column j; bit 0 is always clear (leading +1).
-    A row is admitted by its weight (number of -1 entries) alone.
+    A row of weight w (its number of -1 entries) is admitted when n - 2w,
+    its inner product with the first row, vanishes modulo m.  Mode
+    "restricted" only checks that (n, m) is in the regime.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if mode == "restricted":
         SearchProblem(n, m, mode="restricted")  # validate the regime
-        weights = {w for w in ((n - m) // 2, (n + m) // 2) if 0 <= w <= n - 1}
-    elif mode == "generic":
-        weights = {w for w in range(n) if (n - 2 * w) % m == 0}
-    else:
+    elif mode != "generic":
         raise ValueError("unknown mode %r" % mode)
+    weights = [w for w in range(n) if (n - 2 * w) % m == 0]
     return sorted(x << 1 for w in weights for x in _weight_rows(n - 1, w))
 
 
@@ -227,10 +229,11 @@ def run(problem, max_n=None, log_branches=False):
     and nodes_visited counts both passes.  log_branches records one entry
     per DFS start of each pass: its start index, and in the reduced pass
     also `rep`, the index of its canonical first row.  Raises
-    LimitExceeded when n is beyond the configured bound for the mode.
+    LimitExceeded when n is beyond max_n, which defaults to the instance's
+    cap: MAX_N_RESTRICTED in the restricted regime, MAX_N_GENERIC outside.
 
-    Soundness of the reduction.  Both modes admit a row by its weight
-    alone, and two rows a, b are compatible exactly when
+    Soundness of the reduction.  A row is admitted by its weight alone,
+    and two rows a, b are compatible exactly when
     n - 2 popcount(a ^ b) vanishes modulo m.  A permutation of columns
     1..n-1 keeps weights and popcount(a ^ b), so it maps candidates to
     candidates, compatible pairs to compatible pairs and solutions to
@@ -257,11 +260,13 @@ def run(problem, max_n=None, log_branches=False):
     once, so the branch of j* finds a solution.
     """
     n, m = problem.n, problem.m
-    cap = max_n if max_n is not None else (
-        MAX_N_RESTRICTED if problem.mode == "restricted" else MAX_N_GENERIC
-    )
-    if n > cap:
-        raise LimitExceeded("n=%d exceeds limit %d for %s mode" % (n, cap, problem.mode))
+    regime = _restricted_regime(n, m)
+    if max_n is None:
+        max_n = MAX_N_RESTRICTED if regime else MAX_N_GENERIC
+    if n > max_n:
+        where = "in" if regime else "outside"
+        msg = "n=%d exceeds limit %d %s the restricted regime" % (n, max_n, where)
+        raise LimitExceeded(msg)
     cands = candidate_rows(n, m, problem.mode)
     k = len(cands)
     outcome_log = {"candidate_digest": _candidate_digest(cands)}

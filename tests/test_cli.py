@@ -309,6 +309,12 @@ def test_domain_errors_exit_11(capsys):
     assert "error:" in err
     code, _, err = run_cli(capsys, "search", "30", "5")
     assert code == 11
+    # an order below 2 is an error, not a refutation (exit 1)
+    for n, m in (("1", "5"), ("0", "5"), ("-4", "3")):
+        code, out, err = run_cli(capsys, "search", n, m)
+        assert code == 11, n
+        assert "error: order must be >= 2" in err
+        assert "exhausted" not in out
 
 
 def test_env_var_caps(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -17,6 +18,7 @@ from modhadamard import (
     verdict_to_json,
     verify_mh,
 )
+from modhadamard.search import MAX_N_RESTRICTED
 
 THRESHOLD_12_MOD_14 = 4481157543653329008412788039740507382
 
@@ -185,6 +187,18 @@ def test_gate_walk_is_decides_order():
         list(gate_walk(9, 1))
 
 
+def test_gate_walk_settles_every_searchable_regime_instance():
+    # decide's search fallback never runs a regime instance the search
+    # could take: a gate or a construction settles each one first.  For
+    # m > n the size half of the gcd bound fires: 4r = n + jm with j >= 1.
+    for n in range(3, MAX_N_RESTRICTED + 1, 2):
+        for m in range(3, 3 * n + 1, 2):
+            if n < 3 * m and gcd(n, m) == 1:
+                assert any(f is not None for _, f, _ in gate_walk(n, m)), (n, m)
+                if m > n:
+                    assert check_gcd_bound(n, m) is not None, (n, m)
+
+
 def _holds_param_design(recipe):
     return recipe is not None and (
         recipe.node == "ParamDesign" or any(map(_holds_param_design, recipe.children))
@@ -227,13 +241,16 @@ def test_threshold_notes_by_class():
     assert threshold_note(34, 7) == "n = 6 (mod 14) but n < 118"
     assert threshold_note(20, 7) == "n = 6 (mod 14) but n < 188"
     assert threshold_note(23, 7) == "n = 2 (mod 7) but n < 52565"
+    # 2 (mod 28) is the Double of the Menon chain at n / 2 >= 43
+    assert threshold_note(30, 7) == "n = 2 (mod 28) but n < 86"
+    assert threshold_note(58, 7) == "n = 2 (mod 28) but n < 86"
     assert threshold_note(38, 7) == "n = 10 (mod 14) but n < 683294"
     assert threshold_note(26, 7) == "n = 12 (mod 14) but n < %d" % THRESHOLD_12_MOD_14
     assert threshold_note(30, 5) is None
 
 
 def test_threshold_note_matches_decide():
-    for n in (29, 34, 23, 38, 26, 66):
+    for n in (29, 34, 23, 38, 26, 66, 30):
         v = decide(n, 7)
         assert v.status == "Unknown"
         assert v.threshold_note == threshold_note(n, 7)

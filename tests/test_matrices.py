@@ -15,6 +15,7 @@ from modhadamard import (
     direct_sum,
     dsum_check,
     format_matrix_text,
+    format_rows,
     is_normalized,
     is_quadratic_residue,
     j_minus_2i,
@@ -72,10 +73,24 @@ def test_sign_matrix_entries():
     assert H.entry(0, 0) == 1
     assert H.entry(0, 1) == -1
     assert H.to_entries() == [[1, -1], [-1, 1]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="entries must be \\+1 or -1"):
         SignMatrix.from_entries([[1, 2], [1, 1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix not square"):
         SignMatrix.from_entries([[1, 1], [1]])
+
+
+def test_incidence_matrix_entries():
+    entries = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    D = IncidenceMatrix.from_entries(entries)
+    assert D.rows == (0b011, 0b110, 0b101)
+    assert [[D.entry(i, j) for j in range(3)] for i in range(3)] == entries
+    assert format_rows(D) == ["110", "011", "101"]
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        IncidenceMatrix.from_entries([[1, -1], [0, 1]])
+    with pytest.raises(ValueError, match="matrix not square"):
+        IncidenceMatrix.from_entries([[1, 0], [1]])
+    with pytest.raises(ValueError, match="row bits out of range"):
+        IncidenceMatrix(2, (0b100, 0))
 
 
 def test_verify_mh_examples():

@@ -104,6 +104,10 @@ def test_factorize():
     assert factorize(12) == {2: 2, 3: 1}
     assert factorize(292561) == {292561: 1}
     assert factorize(2 * 3 * 5 * 7 * 11 * 13) == {2: 1, 3: 1, 5: 1, 7: 1, 11: 1, 13: 1}
+    # cofactors with no prime factor below the trial-division bound: a
+    # semiprime goes to Pollard rho, a square to the integer square root
+    assert factorize(10007 * 10009) == {10007: 1, 10009: 1}
+    assert factorize(3 * 10009**2) == {3: 1, 10009: 2}
 
 
 def test_euler_phi():

@@ -38,13 +38,25 @@ def test_problem_validation():
         SearchProblem(5, 5, "other")
     with pytest.raises(ValueError):
         SearchProblem(5, 5, goal="everything")
+    # an order below 2 is no instance, not one to refute
+    for n, m in ((1, 5), (0, 5), (-4, 3)):
+        with pytest.raises(ValueError, match="order must be >= 2"):
+            SearchProblem(n, m)
 
 
 def test_limits():
     with pytest.raises(LimitExceeded):
         run(SearchProblem(30, 5))
-    with pytest.raises(LimitExceeded):
+    with pytest.raises(LimitExceeded, match="outside the restricted regime"):
+        run(SearchProblem(11, 6))
+    # the cap follows the instance, not the mode
+    with pytest.raises(LimitExceeded, match="limit 24 in the restricted regime"):
         run(SearchProblem(29, 11, "restricted"))
+    with pytest.raises(LimitExceeded, match="limit 24 in the restricted regime"):
+        run(SearchProblem(29, 11))
+    generic = run(SearchProblem(11, 5, goal="exhaust"))
+    restricted = run(SearchProblem(11, 5, "restricted", "exhaust"))
+    assert generic == restricted and generic.exhausted
     # explicit override raises the bar
     out = run(SearchProblem(12, 5), max_n=12)
     assert out.found is not None
@@ -136,6 +148,16 @@ def test_candidate_rows_match_brute_force():
     for n, m in _restricted_instances(15):
         want = _brute_force_candidates(n, m)
         assert candidate_rows(n, m, "restricted") == want, (n, m)
+
+
+def test_regime_rows_are_the_generic_rows():
+    # in the regime every inner product is +-m, so the generic rule
+    # n - 2w = 0 (mod m) admits exactly the weights (n -+ m)/2
+    for n, m in _restricted_instances(25):
+        rows = candidate_rows(n, m, "generic")
+        assert rows == candidate_rows(n, m, "restricted"), (n, m)
+        weights = {(n - m) // 2, (n + m) // 2} & set(range(n))
+        assert {r.bit_count() for r in rows} == weights, (n, m)
 
 
 def test_symmetry_reduction_agrees_with_full_search():

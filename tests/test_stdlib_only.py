@@ -1,6 +1,8 @@
-"""The runtime depends on the standard library alone."""
+"""The runtime depends on the standard library alone, and each public
+name is declared once, in its module's __all__."""
 
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -23,3 +25,23 @@ def test_package_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names, (path.name, name)
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", pyproject, re.M)
+
+
+def test_public_names_are_the_modules_all():
+    import modhadamard
+    from modhadamard import constructions, existence, matrices, numtheory, search
+
+    modules = (constructions, existence, matrices, numtheory, search)
+    assert modhadamard.__all__ == [name for mod in modules for name in mod.__all__]
+    assert len(set(modhadamard.__all__)) == len(modhadamard.__all__)
+    for mod in modules:
+        defined = {
+            name
+            for name, value in vars(mod).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == mod.__name__
+        }
+        assert defined <= set(mod.__all__), (mod.__name__, defined - set(mod.__all__))
+        for name in mod.__all__:
+            assert getattr(modhadamard, name) is getattr(mod, name)
