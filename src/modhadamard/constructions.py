@@ -759,12 +759,25 @@ def plan(n, m):
     """A construction recipe for an MH(n, m), or None when no chain applies.
 
     The result's modulus is divisible by m (or is 0); it is not
-    necessarily equal to m.  Raises on n < 3 and on modulus 1.
+    necessarily equal to m.  Raises on n < 3 and on modulus 1.  When no
+    chain reaches n itself, an even n >= 6 tries one Double (Sylvester's
+    step): an MH(n / 2, m') doubles to an MH(n, 2 m'), with m' = m for
+    odd m and m / 2 for even m != 2.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     if m < 0 or m == 1:
         raise ValueError("modulus must be 0 (exact) or >= 2")
+    r = _plan_once(n, m)
+    if r is None and n % 2 == 0 and n >= 6 and m != 2:
+        half = _plan_once(n // 2, m if m % 2 else m // 2)
+        if half is not None:
+            return double(half)
+    return r
+
+
+def _plan_once(n, m):
+    """plan(n, m) without its closing Double."""
 
     def hits(x):
         return x == 0 if m == 0 else x % m == 0
@@ -779,8 +792,6 @@ def plan(n, m):
         r = _exact_order_recipe(n)
         if r is not None:
             return r
-        if hits(n - 16):
-            return double(double(seed_j_minus_2i(n // 4)))
     if m == 5:
         return _plan_mod5(n)
     if m == 7:
@@ -821,47 +832,43 @@ def _plan_mod5(n):
     return None
 
 
-# m = 7 chain gates, quoted by existence.threshold_note
-_MENON_CHAIN_START = 43
 _PALEY11_CHAIN_STARTS = {48: 0, 34: 1, 20: 2, 6: 3, 76: 4, 62: 5}
-_CLASS_2_MOD_7_BOUND = 52565
-_CLASS_10_MOD_14_BOUND = 683294
+
+
+def _gate_mod7(n):
+    """The m = 7 chain for n's class, as (c, M, start): the chain covers
+    n = c (mod M) from order start on.  None when no chain starts there.
+    _plan_mod7 tests it and existence.threshold_note quotes it."""
+    r14 = n % 14
+    if r14 == 1:
+        return 1, 14, 43
+    if r14 == 6:
+        return 6, 14, 48 + 70 * _PALEY11_CHAIN_STARTS[n % 84]
+    if r14 == 9:
+        return (9, 28, 52565) if n % 28 == 9 else (23, 28, 52495)
+    if r14 == 10:
+        return 10, 14, 683294
+    return None
 
 
 def _plan_mod7(n):
+    gate = _gate_mod7(n)
+    if gate is not None and n < gate[2]:
+        return None
     r14 = n % 14
     if r14 == 1:
-        if n < _MENON_CHAIN_START:
-            return None
-        k = (n - _MENON_CHAIN_START) // 14
-        base = double(seed_j_minus_2i(7 * k + 4))
+        base = double(seed_j_minus_2i(7 * ((n - gate[2]) // 14) + 4))
         return iterate(base, "menon_36_15_6", 1, modulus=7)
     if r14 == 6:
         l = _PALEY11_CHAIN_STARTS[n % 84]
-        if n < 48 + 70 * l:
-            return None
-        k = (n - 48 - 70 * l) // 84
-        base = kron(seed_j_minus_2i(7 * k + 4), seed_paley(11))
+        base = kron(seed_j_minus_2i(7 * ((n - gate[2]) // 84) + 4), seed_paley(11))
         return iterate(base, "ds_71_15_3", l, modulus=7)
-    if r14 == 2:
-        if n % 28 == 2:
-            # the Double of the Menon chain at n / 2
-            if n < 2 * _MENON_CHAIN_START:
-                return None
-            half = plan(n // 2, 7)
-            return None if half is None else double(half)
-        return None
     if r14 == 9:
-        gate = _CLASS_2_MOD_7_BOUND if n % 28 == 9 else 52495
-        if n < gate:
-            return None
-        base = plan(n - 52479, 7)
+        base = plan(n - (_FAMILY12_PARAMS[0] - 1), 7)
         if base is None:
             return None
         return iterate(base, seed_param_design(*_FAMILY12_PARAMS), 1, modulus=7)
     if r14 == 10:
-        if n < _CLASS_10_MOD_14_BOUND:
-            return None
         shifts = {0: (0, 0), 42: (1, 0), 70: (0, 1), 28: (1, 1), 56: (0, 2), 14: (1, 2)}
         a, b = shifts[(n - 24) % 84]
         f9 = family11_params(9, 3)
@@ -873,18 +880,7 @@ def _plan_mod7(n):
         r = kron(sub, seed_paley(11))
         r = iterate(r, seed_param_design(f9.v, f9.k, f9.lam), a, modulus=7)
         return iterate(r, seed_param_design(f23.v, f23.k, f23.lam), b, modulus=7)
-    if r14 == 12:
-        if n % 28 == 12:
-            f = family10_params(2, 2, 6)
-            l = (n // 4) % 5
-            t = (n - l * (f.v - 1)) // 20
-            if t < 2:
-                return None
-            sub = double(seed_all_ones(1)) if t == 2 else plan(t, 7)
-            if sub is None:
-                return None
-            base = kron(sub, seed_paley(19))
-            return iterate(base, seed_param_design(f.v, f.k, f.lam), l, modulus=7)
+    if n % 28 == 26:
         giant = _family10_giant()
         n0 = n - (giant.v - 1)
         if n0 < 12:
@@ -893,6 +889,7 @@ def _plan_mod7(n):
         if base is None:
             return None
         return iterate(base, seed_param_design(giant.v, giant.k, giant.lam), 1, modulus=7)
-    # 0, 4, 7, 8, 11 mod 14 are handled by the generic rules above;
+    # 2 (mod 14) and 12 (mod 28) are reached by plan's Double of n / 2;
+    # 0, 4, 7, 8, 11 mod 14 are handled by the generic rules in _plan_once;
     # 3, 5, 13 mod 14 are quadratic nonresidues of 7
     return None

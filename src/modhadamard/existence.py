@@ -13,12 +13,9 @@ from math import gcd, isqrt
 
 from . import search as search_mod
 from .constructions import (
-    _CLASS_2_MOD_7_BOUND,
-    _CLASS_10_MOD_14_BOUND,
-    _MENON_CHAIN_START,
-    _PALEY11_CHAIN_STARTS,
     MaterializeError,
     _family10_giant,
+    _gate_mod7,
     materialize,
     plan,
     recipe_to_json,
@@ -174,23 +171,22 @@ _CLASS_12_MOD_14_BOUND = 4481157543653329008412788039740507382
 
 
 def threshold_note(n, m):
-    """Which stated cutoff keeps (n, m) out of the construction chains."""
+    """Which stated cutoff keeps (n, m) out of the construction chains.
+
+    At m = 7 it quotes the planner's gate for n's class; an even n whose
+    class has no chain quotes the gate of n / 2, doubled, as plan reaches
+    it by one Double."""
     if m != 7:
         return None
-    r14 = n % 14
-    if r14 == 1 and n < _MENON_CHAIN_START:
-        return "n = 1 (mod 14) but n < %d" % _MENON_CHAIN_START
-    if r14 == 6:
-        lo = 48 + 70 * _PALEY11_CHAIN_STARTS[n % 84]
-        if n < lo:
-            return "n = 6 (mod 14) but n < %d" % lo
-    if n % 28 == 2 and n < 2 * _MENON_CHAIN_START:
-        return "n = 2 (mod 28) but n < %d" % (2 * _MENON_CHAIN_START)
-    if n % 7 == 2 and n < _CLASS_2_MOD_7_BOUND:
-        return "n = 2 (mod 7) but n < %d" % _CLASS_2_MOD_7_BOUND
-    if r14 == 10 and n < _CLASS_10_MOD_14_BOUND:
-        return "n = 10 (mod 14) but n < %d" % _CLASS_10_MOD_14_BOUND
-    if r14 == 12:
+    gate = _gate_mod7(n)
+    if gate is None and n % 2 == 0:
+        half = _gate_mod7(n // 2)
+        gate = half and tuple(2 * x for x in half)
+    if gate is not None:
+        if n < gate[2]:
+            return "n = %d (mod %d) but n < %d" % gate
+        return None
+    if n % 14 == 12:
         if n < _CLASS_12_MOD_14_BOUND:
             return "n = 12 (mod 14) but n < %d" % _CLASS_12_MOD_14_BOUND
         giant = _family10_giant()

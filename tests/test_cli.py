@@ -384,17 +384,30 @@ def test_any_crash_exits_11(capsys, monkeypatch):
     assert "internal error:" in err and "KeyError" in err
 
 
-def test_decide_parameter_level_certificate_does_not_exit_1(capsys):
-    # the certificate of (2224, 7) contains a design known only by its
+def test_decide_parameter_level_certificate_does_not_exit_1(capsys, monkeypatch):
+    # the certificate of (52495, 7) extends by a design known only by its
     # parameters, so it cannot be built; it stays a symbolic certificate
-    code, out, err = run_cli(capsys, "decide", "2224", "7")
+    built = []
+    real_build = constructions._build
+
+    def counting_build(recipe):
+        mat = real_build(recipe)
+        built.append(recipe.node)
+        return mat
+
+    monkeypatch.setattr(constructions, "_build", counting_build)
+    code, out, err = run_cli(capsys, "decide", "52495", "7")
     assert code == 0 and err == ""
     assert "Exists (Constructed)" in out and "ParamDesign" in out
-    # construct prints the recipe and says why it built no matrix
-    code, out, err = run_cli(capsys, "construct", "2224", "7")
+    # construct prints the recipe and says why it built no matrix, at a
+    # cap that admits the order
+    code, out, err = run_cli(
+        capsys, "construct", "52495", "7", "--materialize-cap", "10000000000"
+    )
     assert code == 0
     jsonschema.validate(json.loads(out), RECIPE_SCHEMA)
     assert "parameter level" in err
+    assert built == []
 
 
 def test_certificate_verified_once(capsys, monkeypatch):

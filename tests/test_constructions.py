@@ -13,6 +13,7 @@ from modhadamard import (
     catalog_design,
     catalog_names,
     check_constraints_1_to_4,
+    decide,
     double,
     family10_params,
     family11_params,
@@ -526,6 +527,31 @@ def test_plan_class_thresholds_mod7():
     assert plan(38, 7) is None
     assert plan(86, 7) is not None
     assert plan(86 - 28, 7) is None
+
+
+def test_plan_doubles_once():
+    # 12 (mod 28) at m = 7 is the Double of the Paley-11 chain at n / 2
+    assert plan(2224, 7) == double(plan(1112, 7))
+    v = decide(236, 7)
+    assert (v.status, v.reason) == ("Exists", "Constructed")
+    assert v.certificate == double(plan(118, 7))
+    assert verify_mh(materialize(v.certificate), 7).verdict
+    # n - 16 = 0 (mod m) is the Double of n / 2 - 8 = 0 (mod m / 2)
+    assert plan(76, 20) == double(double(seed_j_minus_2i(19)))
+    # one Double, not one per factor 2 of n
+    for u in (1, 37, 101):
+        for m in (9, 15):
+            r = plan(u << 1000, m)
+            assert r is None or r.order == u << 1000
+
+
+def test_plan_double_roots_materialize_and_verify():
+    for m in (7, 10, 14):
+        for n in range(6, 301, 2):
+            r = plan(n, m)
+            if r is not None and r.node == "Double":
+                H = materialize(r)
+                assert H.n == n and verify_mh(H, m).verdict, (n, m)
 
 
 def test_plan_deep_chains_are_consistent():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -206,13 +207,11 @@ def _holds_param_design(recipe):
 
 
 def test_decide_parameter_level_certificates_stay_symbolic(monkeypatch):
-    # below 23,170, the largest order the default cap builds, the class
-    # 12 (mod 28) certificates that extend by family10_params(2, 2, 6)
-    # cannot be built; decide keeps them symbolic and builds nothing
-    orders = [
-        n for n in range(12, 23170, 28) if _holds_param_design(plan(n, 7))
-    ]
-    assert len(orders) == 103 and orders[:3] == [2224, 4184, 5864]
+    # below 23,170, the largest order the default cap builds, no m = 7
+    # recipe holds a design known only by its parameters: every Exists
+    # that decide returns there is built and Gram-checked
+    for n in range(3, 23171):
+        assert not _holds_param_design(plan(n, 7)), n
     built = []
     real_build = constructions._build
 
@@ -222,16 +221,13 @@ def test_decide_parameter_level_certificates_stay_symbolic(monkeypatch):
         return mat
 
     monkeypatch.setattr(constructions, "_build", counting_build)
-    for n in orders:
-        v = decide(n, 7)
-        assert (v.status, v.reason) == ("Exists", "Constructed"), n
-        assert v.certificate == plan(n, 7)
     # the first orders that extend by (52480, 5832, 648) once: under a
     # cap that admits them, the extension reads its design before its base
     for n in (52495, 52565):
         v = decide(n, 7, materialize_cap=10**10)
         assert (v.status, v.reason) == ("Exists", "Constructed"), n
         assert v.certificate == plan(n, 7)
+        assert _holds_param_design(v.certificate)
     assert built == []
 
 
@@ -240,20 +236,46 @@ def test_threshold_notes_by_class():
     # 34 and 20 live on deeper sublattices of the 6 mod 14 family
     assert threshold_note(34, 7) == "n = 6 (mod 14) but n < 118"
     assert threshold_note(20, 7) == "n = 6 (mod 14) but n < 188"
-    assert threshold_note(23, 7) == "n = 2 (mod 7) but n < 52565"
-    # 2 (mod 28) is the Double of the Menon chain at n / 2 >= 43
+    # the two halves of 9 (mod 14) start at different orders
+    assert threshold_note(23, 7) == "n = 23 (mod 28) but n < 52495"
+    assert threshold_note(37, 7) == "n = 9 (mod 28) but n < 52565"
+    # 2 (mod 28) is the Double of the Menon chain at n / 2 >= 43, and
+    # 12 (mod 28) the Double of the Paley-11 chain at n / 2 = 62 (mod 84)
     assert threshold_note(30, 7) == "n = 2 (mod 28) but n < 86"
     assert threshold_note(58, 7) == "n = 2 (mod 28) but n < 86"
+    assert threshold_note(124, 7) == "n = 12 (mod 28) but n < 796"
     assert threshold_note(38, 7) == "n = 10 (mod 14) but n < 683294"
     assert threshold_note(26, 7) == "n = 12 (mod 14) but n < %d" % THRESHOLD_12_MOD_14
     assert threshold_note(30, 5) is None
 
 
 def test_threshold_note_matches_decide():
-    for n in (29, 34, 23, 38, 26, 66, 30):
+    for n in (29, 34, 23, 38, 26, 66, 30, 37, 124):
         v = decide(n, 7)
         assert v.status == "Unknown"
         assert v.threshold_note == threshold_note(n, 7)
+
+
+_GATE_NOTE = re.compile(r"n = (\d+) \(mod (\d+)\) but n < (\d+)$")
+
+
+def test_every_unknown_note_names_a_gate_that_plan_passes():
+    # each m = 7 Unknown up to 3000 quotes a class it belongs to and an
+    # order where plan does build that class, or (26 mod 28) the paper's
+    # class-12 bound
+    unknown = 0
+    for n in range(3, 3001):
+        v = decide(n, 7, materialize_cap=0)
+        if v.status != "Unknown":
+            continue
+        unknown += 1
+        if n % 28 == 26:
+            assert v.threshold_note == "n = 12 (mod 14) but n < %d" % THRESHOLD_12_MOD_14
+            continue
+        c, mod, start = map(int, _GATE_NOTE.match(v.threshold_note).groups())
+        assert n % mod == c and n < start, n
+        assert plan(start, 7) is not None, n
+    assert unknown == 492
 
 
 def test_decide_search_fallback_exhausts():
