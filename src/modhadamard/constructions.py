@@ -760,19 +760,25 @@ def plan(n, m):
 
     The result's modulus is divisible by m (or is 0); it is not
     necessarily equal to m.  Raises on n < 3 and on modulus 1.  When no
-    chain reaches n itself, an even n >= 6 tries one Double (Sylvester's
-    step): an MH(n / 2, m') doubles to an MH(n, 2 m'), with m' = m for
-    odd m and m / 2 for even m != 2.
+    chain reaches n itself, the halves of n are tried in turn, largest
+    first, each doubled back up by Sylvester's step: an MH(n / 2, m')
+    doubles to an MH(n, 2 m'), with m' = m for odd m and m / 2 for even
+    m.  Halving stops at an odd order, an order below 3 or at m = 2.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     if m < 0 or m == 1:
         raise ValueError("modulus must be 0 (exact) or >= 2")
     r = _plan_once(n, m)
-    if r is None and n % 2 == 0 and n >= 6 and m != 2:
-        half = _plan_once(n // 2, m if m % 2 else m // 2)
-        if half is not None:
-            return double(half)
+    doublings = 0
+    while r is None and n % 2 == 0 and n >= 6 and m != 2:
+        n, m = n // 2, m if m % 2 else m // 2
+        doublings += 1
+        r = _plan_once(n, m)
+    if r is None:
+        return None
+    for _ in range(doublings):
+        r = double(r)
     return r
 
 

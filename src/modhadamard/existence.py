@@ -174,8 +174,8 @@ def threshold_note(n, m):
     """Which stated cutoff keeps (n, m) out of the construction chains.
 
     At m = 7 it quotes the planner's gate for n's class; an even n whose
-    class has no chain quotes the gate of n / 2, doubled, as plan reaches
-    it by one Double."""
+    class has no chain quotes the gate of n / 2, doubled, as plan's first
+    Double reaches it."""
     if m != 7:
         return None
     gate = _gate_mod7(n)

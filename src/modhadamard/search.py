@@ -13,8 +13,9 @@ candidate set to a few thousand rows.
 """
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd
+from math import comb, gcd
 
 from .matrices import SignMatrix, verify_mh
 
@@ -46,7 +47,7 @@ class SearchProblem:
     m: int
     mode: str = "generic"
     goal: str = "first"
-    # column-symmetry reduction; the "first" and "exhaust" goals use it (see run)
+    # column-symmetry reduction, for every goal (see run)
     symmetry: bool = True
 
     def __post_init__(self):
@@ -215,22 +216,33 @@ def _canonical_second(x, w):
     return ((1 << a) - 1) << 1 | ((1 << (x.bit_count() - a)) - 1) << (w + 1)
 
 
+def _exact_quotient(a, b):
+    q, r = divmod(a, b)
+    if r:
+        raise AssertionError("double count %d is not divisible by %d" % (a, b))
+    return q
+
+
 def run(problem, max_n=None, log_branches=False):
     """Execute the search.
 
-    goal "first" returns the lex-least witness.  "count" traverses the
-    whole space and counts labelled row sets.  "exhaust" settles existence.
-    With symmetry off, "first" stops at the lex-least witness and "exhaust"
-    traverses the whole space as "count" does.  With symmetry on (the
-    default) both start with the reduced search below, which stops at its
-    first witness: "exhaust" returns that, so `solutions` is 0 or 1, and
-    "first" returns None when it finds none and otherwise runs the
-    unreduced "first" as well, so the witness is still the lex-least one
-    and nodes_visited counts both passes.  log_branches records one entry
-    per DFS start of each pass: its start index, and in the reduced pass
-    also `rep`, the index of its canonical first row.  Raises
-    LimitExceeded when n is beyond max_n, which defaults to the instance's
-    cap: MAX_N_RESTRICTED in the restricted regime, MAX_N_GENERIC outside.
+    goal "first" returns the lex-least witness.  "count" counts labelled
+    row sets.  "exhaust" settles existence.  With symmetry off, "first"
+    stops at the lex-least witness, and "count" and "exhaust" traverse the
+    whole space.  With symmetry on (the default) "first" and "exhaust"
+    start with the reduced search below, which stops at its first witness:
+    "exhaust" returns that, so `solutions` is 0 or 1, and "first" returns
+    None when it finds none.  "count" double counts over the column
+    permutations, as set out under "Counting" below.  When a witness
+    exists, "first" and "count" then run the unreduced "first" as well, so
+    the witness is still the lex-least one and nodes_visited counts both
+    passes.  log_branches records one entry per DFS start of each pass:
+    its start index, nodes and solutions, and in the reduced passes also
+    `rep`, the index of its canonical first row.  A count entry adds the
+    set size `s`, the `class` (a, weight) of its canonical second row and
+    the class's `multiplier`.  Raises LimitExceeded when n is beyond
+    max_n, which defaults to the instance's cap: MAX_N_RESTRICTED in the
+    restricted regime, MAX_N_GENERIC outside.
 
     Soundness of the reduction.  A row is admitted by its weight alone,
     and two rows a, b are compatible exactly when
@@ -258,6 +270,29 @@ def run(problem, max_n=None, log_branches=False):
     pool sets whose smallest index in that order is s.  The starts over
     the canonical second rows together cover every set that holds one, each
     once, so the branch of j* finds a solution.
+
+    Counting.  Let N = n - 1 and let K_s(P) be the number of pairwise
+    compatible s-sets of distinct rows of P, K_s = K_s(candidates) and
+    K_0 = 1.  A row may repeat exactly when m divides n, and then every
+    row is compatible with itself, so a multiset of N rows is a solution
+    exactly when its support is a compatible set; an s-set is the support
+    of C(N - 1, s - 1) such multisets, so the count is the sum of
+    K_s C(N - 1, s - 1) over s = 1..N.  Otherwise it is K_N.  Counting
+    the pairs (set, member in it) gives s K_s = sum over candidates c of
+    K_{s-1}(pool(c)), where pool(c) is the candidates other than c that
+    are compatible with c.  A column permutation maps c to the canonical
+    row c_w of its weight and pool(c) onto pool(c_w), so that sum is the
+    sum over w of C(n - 1, w) K_{s-1}(pool(c_w)), C(n - 1, w) being the
+    number of candidates of weight w.  Likewise (s - 1) K_{s-1}(pool(c))
+    is the sum over x in pool(c) of K_{s-2}(pool(c) & pool(x)), and the
+    stabilizer of c fixes pool(c) and maps x to the canonical second row
+    of its class; so it is the sum over the classes in pool(c) of the
+    class size C(w, a) C(n - 1 - w, popcount(x) - a) times K_{s-2} over
+    the pool of c and of the class's canonical second row.  K_t for
+    t >= 1 is the count of the DFS for t-sets without repeats from every
+    start.  Each division is exact, and is checked.  Once some K_s is 0 so
+    is every larger one, as each larger set holds an s-set, so the sum
+    stops there.
     """
     n, m = problem.n, problem.m
     regime = _restricted_regime(n, m)
@@ -277,18 +312,18 @@ def run(problem, max_n=None, log_branches=False):
     allow_repeat = n % m == 0
     branch_records = []
 
-    def traverse(order, starts, goal, fixed=(), label=None):
-        """DFS from each start over `order`, below the rows `fixed`:
-        (sorted witness rows or None, nodes, solutions).  goal "first"
-        stops at the first witness."""
-        compat = [None] * k
+    def traverse(order, starts, goal, need, repeat, fixed=(), label=None):
+        """DFS from each start over `order` for sets of `need` rows, below
+        the rows `fixed`: (sorted witness rows or None, nodes, solutions).
+        goal "first" stops at the first witness."""
+        compat = [None] * len(order)
         mask = _compat_mask(order, n, m)
         nodes = 0
         best = None
         total = 0
         for start in starts:
             rows, cnt, sub_nodes = _solve_subtree(
-                start, compat, mask, n - 1 - len(fixed), allow_repeat, goal
+                start, compat, mask, need, repeat, goal
             )
             nodes += sub_nodes
             total += cnt
@@ -302,8 +337,18 @@ def run(problem, max_n=None, log_branches=False):
                     break
         return best, nodes, total
 
+    def full(goal):
+        return traverse(cands, range(k), goal, n - 1, allow_repeat)
+
+    def compatible(c, rows):
+        """The rows of `rows` compatible with c, in their order."""
+        return [x for x in rows if (n - 2 * (x ^ c).bit_count()) % m == 0]
+
+    # the canonical first rows, each with the number of candidates of its weight
+    firsts = Counter(((1 << c.bit_count()) - 1) << 1 for c in cands)
+    reps = sorted(firsts)
+
     def reduced():
-        reps = sorted({((1 << c.bit_count()) - 1) << 1 for c in cands})
         rest = set(cands).difference(reps)
         order = reps + [c for c in cands if c in rest]
         if n == 2:  # a first row alone completes the matrix
@@ -311,25 +356,67 @@ def run(problem, max_n=None, log_branches=False):
         nodes = 0
         for j, c0 in enumerate(reps):
             w = c0.bit_count()
-            pool = [x for x in order[j:] if (n - 2 * (x ^ c0).bit_count()) % m == 0]
+            pool = compatible(c0, order[j:])
             classes = {_canonical_second(x, w) for x in pool}
             seconds = sorted(classes.intersection(pool))
             order2 = seconds + [x for x in pool if x not in classes]
             best, sub_nodes, total = traverse(
-                order2, range(len(seconds)), "first", (c0,), {"rep": j}
+                order2, range(len(seconds)), "first", n - 2, allow_repeat,
+                (c0,), {"rep": j},
             )
             nodes += sub_nodes
             if best is not None:
                 return best, nodes, total
         return None, nodes, 0
 
-    if problem.symmetry and problem.goal != "count":
-        best, nodes, total = reduced()
-        if best is not None and problem.goal == "first":
-            best, full_nodes, total = traverse(cands, range(k), "first")
-            nodes += full_nodes
+    def count():
+        # per canonical first row: its index, the number of candidates of its
+        # weight, and per class in its pool the class's canonical second row,
+        # size and the pool of both
+        pools = []
+        for j, c0 in enumerate(reps):
+            w = c0.bit_count()
+            pool = [x for x in compatible(c0, cands) if x != c0]
+            sizes = Counter(_canonical_second(x, w) for x in pool)
+            classes = [
+                (rep, size, [x for x in compatible(rep, pool) if x != rep])
+                for rep, size in sorted(sizes.items())
+            ]
+            pools.append((j, firsts[c0], classes))
+        total = nodes = 0
+        for s in range(1, n) if allow_repeat else (n - 1,):
+            s_k = 0  # s K_s
+            for j, first_size, classes in pools:
+                inner = 0  # (s - 1) K_{s-1}(pool(c0))
+                for rep, size, order in classes:
+                    k_t = 1  # K_0
+                    if s > 2:
+                        cls = [(rep & reps[j]).bit_count(), rep.bit_count()]
+                        label = {"s": s, "rep": j, "class": cls, "multiplier": size}
+                        _, sub_nodes, k_t = traverse(
+                            order, range(len(order)), "count", s - 2, False, label=label
+                        )
+                        nodes += sub_nodes
+                    inner += size * k_t
+                s_k += first_size * (_exact_quotient(inner, s - 1) if s > 1 else 1)
+            k_s = _exact_quotient(s_k, s)
+            if not k_s:  # no larger set either
+                break
+            total += k_s * comb(n - 2, s - 1)
+        return total, nodes
+
+    if not problem.symmetry:
+        best, nodes, total = full(problem.goal)
     else:
-        best, nodes, total = traverse(cands, range(k), problem.goal)
+        if problem.goal == "count":
+            total, nodes = count()
+            best, witness = None, total > 0
+        else:
+            best, nodes, total = reduced()
+            witness = best is not None and problem.goal == "first"
+        if witness:  # the lex-least witness, by the unreduced first pass
+            best, first_nodes, _ = full("first")
+            nodes += first_nodes
     if log_branches:
         outcome_log["branches"] = branch_records
     found = None

@@ -153,6 +153,20 @@ def test_search_command(capsys):
     assert doc["candidate_row_count"] == 165
 
 
+def test_search_count_json(capsys):
+    code, out, _ = run_cli(
+        capsys, "search", "10", "3", "--goal", "count", "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["solutions"] == 1270 and doc["exhausted"] is True
+    # the lex-least witness, as the unreduced traversal finds it
+    assert doc["found"] == [
+        "++++++++++", "+--+++++++", "+-+-++++++", "+-++-+++++", "+-+++-++++",
+        "+-++++-+++", "+-+++++-++", "+-++++++-+", "+-+++++++-", "++--------",
+    ]
+
+
 def test_search_found_witness_verifies(capsys):
     code, out, _ = run_cli(capsys, "search", "8", "2", "--format", "json")
     assert code == 0

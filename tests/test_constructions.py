@@ -538,11 +538,23 @@ def test_plan_doubles_once():
     assert verify_mh(materialize(v.certificate), 7).verdict
     # n - 16 = 0 (mod m) is the Double of n / 2 - 8 = 0 (mod m / 2)
     assert plan(76, 20) == double(double(seed_j_minus_2i(19)))
-    # one Double, not one per factor 2 of n
+    # the halves are walked by a loop, not by recursion
     for u in (1, 37, 101):
         for m in (9, 15):
             r = plan(u << 1000, m)
             assert r is None or r.order == u << 1000
+
+
+def test_plan_doubles_down_to_a_quarter():
+    # orders whose half is itself reached only by a Double
+    for n in (472, 808):
+        r = plan(n, 7)
+        assert r == double(double(plan(n // 4, 7))), n
+        assert plan(n // 2, 7) is not None and plan(n // 2, 7).node == "Double"
+        H = materialize(r)
+        assert H.n == n and verify_mh(H, 7).verdict, n
+        v = decide(n, 7, materialize_cap=0)
+        assert (v.status, v.reason) == ("Exists", "Constructed"), n
 
 
 def test_plan_double_roots_materialize_and_verify():

@@ -275,7 +275,7 @@ def test_every_unknown_note_names_a_gate_that_plan_passes():
         c, mod, start = map(int, _GATE_NOTE.match(v.threshold_note).groups())
         assert n % mod == c and n < start, n
         assert plan(start, 7) is not None, n
-    assert unknown == 492
+    assert unknown == 480
 
 
 def test_decide_search_fallback_exhausts():

@@ -220,16 +220,66 @@ def test_reduced_node_counts():
 
 
 def test_unreduced_node_counts():
-    # count runs unreduced: node counts of the plain DFS that visits every
+    # the unreduced count: node counts of the plain DFS that visits every
     # child, over whole trees rather than the pruned starts above
     for n, m, nodes, solutions in [(9, 3, 108872, 39873), (10, 3, 161359, 1270),
                                    (10, 6, 161359, 1270)]:
-        out = run(SearchProblem(n, m, "generic", "count"))
+        out = run(SearchProblem(n, m, "generic", "count", symmetry=False))
         assert (out.nodes_visited, out.solutions) == (nodes, solutions), (n, m)
     # the lex-least witness over 8,192 candidate rows, without building
     # the compatibility mask of every child of each node on the way
     out = run(SearchProblem(14, 2), max_n=14)
     assert out.found is not None and out.nodes_visited == 25
+
+
+def test_reduced_count_node_counts():
+    # (nodes of the count's DFSs, nodes of the unreduced first-witness pass)
+    pinned = {(9, 3): (301, 8, 39873), (10, 3): (6520, 11, 1270),
+              (10, 6): (6520, 11, 1270)}
+    for (n, m), (count_nodes, first_nodes, solutions) in pinned.items():
+        out = run(SearchProblem(n, m, "generic", "count"), log_branches=True)
+        off = run(SearchProblem(n, m, "generic", "first", symmetry=False))
+        assert out.exhausted and out.solutions == solutions, (n, m)
+        assert out.nodes_visited == count_nodes + first_nodes, (n, m)
+        assert out.found is not None and out.found == off.found, (n, m)
+        assert off.nodes_visited == first_nodes
+        # one entry per DFS start of the count, then the witness pass's
+        branches = out.log["branches"]
+        counted = [b for b in branches if "s" in b]
+        assert sum(b["nodes"] for b in counted) == count_nodes
+        assert sum(b["nodes"] for b in branches) == out.nodes_visited
+        for b in counted:
+            assert set(b) == {"s", "rep", "class", "multiplier", "start",
+                              "nodes", "solutions"}
+            assert 3 <= b["s"] <= n - 1 and b["multiplier"] >= 1
+
+
+def test_reduced_count_agrees_with_unreduced_count():
+    # (8, 2) and (8, 4) are left out: every candidate row is compatible
+    # with every other, and the unreduced count of (8, 4) alone visits
+    # 1,329,890,704 nodes
+    grid = [(n, m, "generic") for n in range(2, 10) for m in range(2, 14)
+            if (n, m) not in ((8, 2), (8, 4))]
+    grid += [(n, m, "restricted") for n, m in _restricted_instances(11)]
+    for n, m, mode in grid:
+        on = run(SearchProblem(n, m, mode, "count"))
+        off = run(SearchProblem(n, m, mode, "count", symmetry=False))
+        assert on.exhausted and off.exhausted
+        assert on.solutions == off.solutions, (n, m, mode)
+        assert on.found == off.found, (n, m, mode)
+        assert on.nodes_visited <= off.nodes_visited, (n, m, mode)
+
+
+def test_restricted_count_vanishes_exactly_when_exhaust_refutes():
+    # past the grid above the unreduced count does not finish in seconds;
+    # (15, 7) visits 86.6 million nodes unreduced
+    for n, m in _restricted_instances(15):
+        if n < 13:
+            continue
+        count = run(SearchProblem(n, m, "restricted", "count"))
+        exhaust = run(SearchProblem(n, m, "restricted", "exhaust"))
+        assert (count.solutions == 0) == (exhaust.found is None), (n, m)
+        assert (count.found is None) == (exhaust.found is None), (n, m)
 
 
 def _reference_search(n, m, mode):
