@@ -798,103 +798,100 @@ def _plan_once(n, m):
         r = _exact_order_recipe(n)
         if r is not None:
             return r
+    chain = _chain(n, m)
+    if chain is None or n < chain[2]:
+        return None
+    return chain[3]()
+
+
+@lru_cache(maxsize=None)
+def _mod5_chains():
+    """The m = 5 chains as (base, companion): each extends its base by
+    rounds of the companion, so it serves the orders b (mod v - 1) from b
+    on, b being the base's order."""
+    comp21 = seed_catalog("comp_21_16_12", kind="design")
+    b16 = double(double(seed_j_minus_2i(4)))
+    return (
+        (seed_catalog("pp_21_5_1", kind="mh"), comp21),
+        (iterate(b16, "biplane_16_6_2", 1, modulus=5), comp21),
+        (seed_paley(11), seed_catalog("comp_11_6_3", kind="design")),
+        (seed_two_circulant("two_circ_26_5"), comp21),
+    )
+
+
+@lru_cache(maxsize=None)
+def _least_reached(c, M):
+    """The least order n >= 3, n = c (mod M), that plan reaches at m = 7;
+    _one_round asks only for reached classes (8 mod 14; 2, 12, 16 mod 28)."""
+    n = c
+    while n < 3 or plan(n, 7) is None:
+        n += M
+    return n
+
+
+def _one_round(n, c, M, design):
+    """The chain of one round of design over plan(n - (v - 1), 7), for
+    n = c (mod M); it starts where the base's class is first reached."""
+    step = design.order - 1
+
+    def build():
+        base = plan(n - step, 7)
+        return None if base is None else iterate(base, design, 1, modulus=7)
+
+    return c, M, step + _least_reached((c - step) % M, M), build
+
+
+def _chain(n, m):
+    """The extension chain that serves n's class at modulus m, as
+    (c, M, start, build): it covers n = c (mod M) from order start on, and
+    build() returns its recipe for n, or None where its base is missing.
+    None when no chain serves the class.  _plan_once builds from it and
+    existence.threshold_note quotes it."""
     if m == 5:
-        return _plan_mod5(n)
-    if m == 7:
-        return _plan_mod7(n)
-    return None
-
-
-def _plan_mod5(n):
-    comp21 = "comp_21_16_12"
-    if n % 2:
-        r20 = n % 20
-        if r20 == 1:
-            if n < 21:
-                return None
-            base = seed_catalog("pp_21_5_1", kind="mh")
-            return iterate(base, comp21, (n - 21) // 20, modulus=5)
-        if r20 == 11:
-            if n < 31:
-                return None
-            b31 = iterate(
-                double(double(seed_j_minus_2i(4))),
-                "biplane_16_6_2",
-                1,
-                modulus=5,
-            )
-            return iterate(b31, comp21, (n - 31) // 20, modulus=5)
-        # 3 and 7 mod 10 are quadratic nonresidues of 5
+        for base, comp in _mod5_chains():
+            b, step = base.order, comp.order - 1
+            if n % step == b % step:
+                l = (n - b) // step
+                return b % step, step, b, lambda: iterate(base, comp, l, modulus=5)
+        # odd n = 3, 7 (mod 10) are quadratic nonresidues of 5
         return None
-    if n % 10 == 2:
-        if n < 22:
-            return None
-        return iterate(seed_paley(11), "comp_11_6_3", (n - 12) // 10, modulus=5)
-    if n % 20 == 6:
-        if n < 26:
-            return None
-        base = seed_two_circulant("two_circ_26_5")
-        return iterate(base, comp21, (n - 26) // 20, modulus=5)
-    return None
-
-
-_PALEY11_CHAIN_STARTS = {48: 0, 34: 1, 20: 2, 6: 3, 76: 4, 62: 5}
-
-
-def _gate_mod7(n):
-    """The m = 7 chain for n's class, as (c, M, start): the chain covers
-    n = c (mod M) from order start on.  None when no chain starts there.
-    _plan_mod7 tests it and existence.threshold_note quotes it."""
-    r14 = n % 14
-    if r14 == 1:
-        return 1, 14, 43
-    if r14 == 6:
-        return 6, 14, 48 + 70 * _PALEY11_CHAIN_STARTS[n % 84]
-    if r14 == 9:
-        return (9, 28, 52565) if n % 28 == 9 else (23, 28, 52495)
-    if r14 == 10:
-        return 10, 14, 683294
-    return None
-
-
-def _plan_mod7(n):
-    gate = _gate_mod7(n)
-    if gate is not None and n < gate[2]:
+    if m != 7:
         return None
     r14 = n % 14
     if r14 == 1:
-        base = double(seed_j_minus_2i(7 * ((n - gate[2]) // 14) + 4))
-        return iterate(base, "menon_36_15_6", 1, modulus=7)
+        return _one_round(n, 1, 14, seed_catalog("menon_36_15_6", kind="design"))
     if r14 == 6:
-        l = _PALEY11_CHAIN_STARTS[n % 84]
-        base = kron(seed_j_minus_2i(7 * ((n - gate[2]) // 84) + 4), seed_paley(11))
-        return iterate(base, "ds_71_15_3", l, modulus=7)
+        # J - 2I times the Paley matrix of order 12, then l rounds of the
+        # (71, 15, 3) design; each round adds 70 = -14 (mod 84)
+        l = (48 - n) // 14 % 6
+        start = 48 + 70 * l
+
+        def build():
+            base = kron(seed_j_minus_2i(7 * ((n - start) // 84) + 4), seed_paley(11))
+            return iterate(base, "ds_71_15_3", l, modulus=7)
+
+        return 6, 14, start, build
     if r14 == 9:
-        base = plan(n - (_FAMILY12_PARAMS[0] - 1), 7)
-        if base is None:
-            return None
-        return iterate(base, seed_param_design(*_FAMILY12_PARAMS), 1, modulus=7)
+        return _one_round(n, n % 28, 28, seed_param_design(*_FAMILY12_PARAMS))
     if r14 == 10:
-        shifts = {0: (0, 0), 42: (1, 0), 70: (0, 1), 28: (1, 1), 56: (0, 2), 14: (1, 2)}
-        a, b = shifts[(n - 24) % 84]
-        f9 = family11_params(9, 3)
-        f23 = family11_params(23, 3)
-        t = (n - a * (f9.v - 1) - b * (f23.v - 1)) // 12
-        sub = plan(t, 7)
-        if sub is None:
-            return None
-        r = kron(sub, seed_paley(11))
-        r = iterate(r, seed_param_design(f9.v, f9.k, f9.lam), a, modulus=7)
-        return iterate(r, seed_param_design(f23.v, f23.k, f23.lam), b, modulus=7)
+        # plan(t, 7) times the Paley matrix of order 12, then a rounds of
+        # the q = 9 and b of the q = 23 design of family11_params(q, 3)
+        def build():
+            shifts = {0: (0, 0), 42: (1, 0), 70: (0, 1), 28: (1, 1), 56: (0, 2), 14: (1, 2)}
+            a, b = shifts[(n - 24) % 84]
+            f9 = family11_params(9, 3)
+            f23 = family11_params(23, 3)
+            sub = plan((n - a * (f9.v - 1) - b * (f23.v - 1)) // 12, 7)
+            if sub is None:
+                return None
+            r = kron(sub, seed_paley(11))
+            r = iterate(r, seed_param_design(f9.v, f9.k, f9.lam), a, modulus=7)
+            return iterate(r, seed_param_design(f23.v, f23.k, f23.lam), b, modulus=7)
+
+        return 10, 14, 683294, build
     if n % 28 == 26:
         giant = _family10_giant()
-        n0 = n - (giant.v - 1)
-        if n0 < 12:
-            return None
-        base = plan(n0, 7)
-        if base is None:
-            return None
-        return iterate(base, seed_param_design(giant.v, giant.k, giant.lam), 1, modulus=7)
+        return _one_round(n, 26, 28, seed_param_design(giant.v, giant.k, giant.lam))
     # 2 (mod 14) and 12 (mod 28) are reached by plan's Double of n / 2;
     # 0, 4, 7, 8, 11 mod 14 are handled by the generic rules in _plan_once;
     # 3, 5, 13 mod 14 are quadratic nonresidues of 7

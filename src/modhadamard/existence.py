@@ -14,8 +14,8 @@ from math import gcd, isqrt
 from . import search as search_mod
 from .constructions import (
     MaterializeError,
+    _chain,
     _family10_giant,
-    _gate_mod7,
     materialize,
     plan,
     recipe_to_json,
@@ -173,20 +173,19 @@ _CLASS_12_MOD_14_BOUND = 4481157543653329008412788039740507382
 def threshold_note(n, m):
     """Which stated cutoff keeps (n, m) out of the construction chains.
 
-    At m = 7 it quotes the planner's gate for n's class; an even n whose
-    class has no chain quotes the gate of n / 2, doubled, as plan's first
-    Double reaches it."""
+    At m = 7 it quotes the start of the planner's chain for n's class; an
+    even n whose class has no chain quotes the chain of n / 2, doubled, as
+    plan's first Double reaches it.  Class 26 (mod 28) quotes the paper's
+    bound instead."""
     if m != 7:
         return None
-    gate = _gate_mod7(n)
+    gate = _chain(n, 7)
     if gate is None and n % 2 == 0:
-        half = _gate_mod7(n // 2)
-        gate = half and tuple(2 * x for x in half)
-    if gate is not None:
-        if n < gate[2]:
-            return "n = %d (mod %d) but n < %d" % gate
+        half = _chain(n // 2, 7)
+        gate = half and tuple(2 * x for x in half[:3])
+    if gate is None:
         return None
-    if n % 14 == 12:
+    if gate[:2] == (26, 28):  # the paper's bound, not the chain's start
         if n < _CLASS_12_MOD_14_BOUND:
             return "n = 12 (mod 14) but n < %d" % _CLASS_12_MOD_14_BOUND
         giant = _family10_giant()
@@ -194,6 +193,8 @@ def threshold_note(n, m):
             "n = 26 (mod 28) but no extension base of order n - %d is available"
             % (giant.v - 1)
         )
+    if n < gate[2]:
+        return "n = %d (mod %d) but n < %d" % gate[:3]
     return None
 
 

@@ -1,7 +1,7 @@
 """Exact integer and modular arithmetic primitives.
 
 Everything here is arbitrary precision; nothing ever overflows silently.
-Primality is deterministic below 2**64 and probabilistic (flagged) above.
+Primality is exact below 2**64 and probabilistic (flagged) above.
 """
 
 import math
@@ -44,9 +44,6 @@ class Condition1Error(ValueError):
         super().__init__(message)
         self.invariant = invariant
 
-
-# Deterministic for n < 2**64 with these bases.
-_MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = []
 _sieve_limit = 10000
@@ -136,8 +133,9 @@ def _strong_lucas(n):
 def _bpsw(n):
     """Baillie-PSW: a strong base-2 test, then a strong Lucas test.
 
-    No composite is known to pass both, and none exists below 2**64, but
-    that is not proven for larger n.
+    No composite is known to pass both.  None below 2**64 does: every
+    base-2 strong pseudoprime there is on J. Feitsma's list, and each of
+    them fails the Lucas test.  For larger n that is not proven.
     """
     if n < 3 or n % 2 == 0:
         return n == 2
@@ -148,14 +146,15 @@ def _bpsw(n):
 def is_prime(n):
     """Primality test.
 
-    Returns (prime, probabilistic).  Below 2**64 the Miller-Rabin bases
-    _MR_BASES_64 decide primality exactly.  Larger n get trial division by
-    the primes below 10**4 and then the Baillie-PSW test (R. Baillie and
-    S. S. Wagstaff Jr., "Lucas pseudoprimes", Math. Comp. 35, 1980): a
-    strong base-2 test and a strong Lucas test with Selfridge parameters.
-    A composite that passes both is unknown but not ruled out, so a prime
-    answer above 2**64 is flagged probabilistic.  The test draws nothing at
-    random, so results are reproducible.
+    Returns (prime, probabilistic).  After trial division by the primes up
+    to 37 (and by those below 10**4 for n >= 2**64), every n gets the
+    Baillie-PSW test (R. Baillie and S. S. Wagstaff Jr., "Lucas
+    pseudoprimes", Math. Comp. 35, 1980): a strong base-2 test and a
+    strong Lucas test with Selfridge parameters.  It is exact below 2**64,
+    where no composite passes it.  Above, a composite that passes is
+    unknown but not ruled out, so a prime answer there is flagged
+    probabilistic.  The test draws nothing at random, so results are
+    reproducible.
     """
     if n < 2:
         return False, False
@@ -164,16 +163,12 @@ def is_prime(n):
             return True, False
         if n % p == 0:
             return False, False
-    if n < 1 << 64:
-        d, s = _odd_split(n - 1)
-        for a in _MR_BASES_64:
-            if not _miller_rabin_round(n, a, d, s):
+    big = bool(n >> 64)
+    if big:
+        for p in _SMALL_PRIMES:
+            if n % p == 0:
                 return False, False
-        return True, False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return False, False
-    return (True, True) if _bpsw(n) else (False, False)
+    return (True, big) if _bpsw(n) else (False, False)
 
 
 def _pollard_rho(n):
@@ -356,11 +351,8 @@ def is_prime_power(x):
             if inner is None:
                 return None
             return PrimePower(inner.base, inner.exponent * e, inner.probabilistic)
-    if x >> 64:
-        # the trial division of is_prime is done above
-        return PrimePower(x, 1, True) if _bpsw(x) else None
-    prime, prob = is_prime(x)
-    return PrimePower(x, 1, prob) if prime else None
+    # the trial division of is_prime is done above
+    return PrimePower(x, 1, bool(x >> 64)) if _bpsw(x) else None
 
 
 def is_primitive_root(a, p):

@@ -292,7 +292,8 @@ def run(problem, max_n=None, log_branches=False):
     t >= 1 is the count of the DFS for t-sets without repeats from every
     start.  Each division is exact, and is checked.  Once some K_s is 0 so
     is every larger one, as each larger set holds an s-set, so the sum
-    stops there.
+    stops there.  When every two of the k candidates are compatible,
+    K_s = C(k, s) and no DFS runs.
     """
     n, m = problem.n, problem.m
     regime = _restricted_regime(n, m)
@@ -370,6 +371,14 @@ def run(problem, max_n=None, log_branches=False):
         return None, nodes, 0
 
     def count():
+        set_sizes = range(1, n) if allow_repeat else (n - 1,)
+        # every two candidates compatible (checked up to the first pair that
+        # is not): K_s = C(k, s), with no DFS
+        if all(
+            (n - 2 * (cands[i] ^ cands[j]).bit_count()) % m == 0
+            for i in range(k) for j in range(i + 1, k)
+        ):
+            return sum(comb(k, s) * comb(n - 2, s - 1) for s in set_sizes), 0
         # per canonical first row: its index, the number of candidates of its
         # weight, and per class in its pool the class's canonical second row,
         # size and the pool of both
@@ -384,7 +393,7 @@ def run(problem, max_n=None, log_branches=False):
             ]
             pools.append((j, firsts[c0], classes))
         total = nodes = 0
-        for s in range(1, n) if allow_repeat else (n - 1,):
+        for s in set_sizes:
             s_k = 0  # s K_s
             for j, first_size, classes in pools:
                 inner = 0  # (s - 1) K_{s-1}(pool(c0))

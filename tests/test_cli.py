@@ -167,6 +167,16 @@ def test_search_count_json(capsys):
     ]
 
 
+def test_search_count_json_dense_instance(capsys):
+    # every two of the 128 candidate rows are compatible: closed-form count
+    code, out, _ = run_cli(
+        capsys, "search", "8", "2", "--goal", "count", "--format", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["solutions"] == 131254487936 and doc["exhausted"] is True
+
+
 def test_search_found_witness_verifies(capsys):
     code, out, _ = run_cli(capsys, "search", "8", "2", "--format", "json")
     assert code == 0

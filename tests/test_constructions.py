@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -36,6 +37,7 @@ from modhadamard import (
     seed_paley_design,
     seed_param_design,
     seed_two_circulant,
+    threshold_note,
     two_circulant,
     verify_design,
     verify_mh,
@@ -527,6 +529,27 @@ def test_plan_class_thresholds_mod7():
     assert plan(38, 7) is None
     assert plan(86, 7) is not None
     assert plan(86 - 28, 7) is None
+
+
+def test_plan_and_threshold_notes_are_pinned_byte_for_byte():
+    # SHA-256 over one line per order: plan's recipe JSON for m = 5 and 7,
+    # then threshold_note at m = 7, for 3 <= n <= 3000; any change to a
+    # chain's gate or builder moves a digest
+    recipes = hashlib.sha256()
+    for m in (5, 7):
+        for n in range(3, 3001):
+            r = plan(n, m)
+            doc = recipe_to_json(r) if r is not None else None
+            recipes.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    notes = hashlib.sha256()
+    for n in range(3, 3001):
+        notes.update(json.dumps(threshold_note(n, 7)).encode() + b"\n")
+    assert recipes.hexdigest() == (
+        "9aab672c88af53146366705065b38fc8ee889ed488bb772a2829aa7f083922e6"
+    )
+    assert notes.hexdigest() == (
+        "0d48f432e6cdab6a35bfc95816ec8fd9a14398dcd7ead13932fa214cfbce5db0"
+    )
 
 
 def test_plan_doubles_once():

@@ -59,6 +59,37 @@ def test_is_prime_large_is_probabilistic():
     assert is_prime(2**67 - 1) == (False, False)
 
 
+def _miller_rabin_12_bases(n):
+    """Reference: Miller-Rabin with the first 12 prime bases, exact for
+    n < 2^64 (J. Sorenson and J. Webster, Math. Comp. 86, 2017)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % a == 0 for a in bases):
+        return False
+    d, s = _odd_split(n - 1)
+    return all(_miller_rabin_round(n, a, d, s) for a in bases)
+
+
+def test_is_prime_matches_miller_rabin_below_2_64():
+    rng = random.Random(SEED)
+    odd = list(range(1, 10**5, 2))
+    odd += [rng.randrange(1, 2**64, 2) for _ in range(10**4)]
+    # strong pseudoprimes to the first bases (2047, 3277: base 2;
+    # 3215031751: bases 2 to 7; 3825123056546413051: bases 2 to 23) and the
+    # Carmichael numbers up to 6601
+    odd += [2047, 3277, 3215031751, 3825123056546413051]
+    odd += [561, 1105, 1729, 2465, 2821, 6601]
+    for n in odd:
+        assert is_prime(n) == (_miller_rabin_12_bases(n), False), n
+        if n >= 2:
+            pp = is_prime_power(n)
+            if _miller_rabin_12_bases(n):
+                assert pp == PrimePower(n, 1, False), n
+
+
 def test_bpsw_agrees_with_sieve():
     limit = 10**5
     sieve = bytearray([1]) * limit

@@ -1,7 +1,8 @@
 import os
 import subprocess
 import sys
-from math import gcd
+import time
+from math import comb, gcd
 
 import pytest
 
@@ -268,6 +269,24 @@ def test_reduced_count_agrees_with_unreduced_count():
         assert on.solutions == off.solutions, (n, m, mode)
         assert on.found == off.found, (n, m, mode)
         assert on.nodes_visited <= off.nodes_visited, (n, m, mode)
+
+
+def test_count_in_closed_form_when_every_pair_is_compatible():
+    # every two candidate rows are compatible, so K_s = C(k, s): the count
+    # runs no DFS, and only the first-witness pass visits nodes
+    out = run(SearchProblem(6, 2, "generic", "count"))
+    off = run(SearchProblem(6, 2, "generic", "count", symmetry=False))
+    assert out.solutions == off.solutions == 376992
+    assert out.found == off.found
+    for n, m in ((8, 4), (8, 2)):
+        k = len(candidate_rows(n, m, "generic"))
+        expected = sum(comb(k, s) * comb(n - 2, s - 1) for s in range(1, n))
+        t0 = time.perf_counter()
+        out = run(SearchProblem(n, m, "generic", "count"))
+        assert time.perf_counter() - t0 < 1.0, (n, m)
+        first = run(SearchProblem(n, m, "generic", "first", symmetry=False))
+        assert out.solutions == expected, (n, m)
+        assert out.found == first.found and out.nodes_visited == first.nodes_visited
 
 
 def test_restricted_count_vanishes_exactly_when_exhaust_refutes():
