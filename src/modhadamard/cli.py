@@ -24,6 +24,7 @@ from .constructions import (
 )
 from .existence import decide, gate_walk, verdict_to_json
 from .matrices import (
+    DesignParams,
     SignMatrix,
     format_matrix_text,
     format_rows,
@@ -73,9 +74,7 @@ def _read_input(path):
 
 
 def _cmd_decide(args):
-    v = decide(
-        args.n, args.m, _cap(args, "search_cap"), _cap(args, "materialize_cap")
-    )
+    v = decide(args.n, args.m, _cap(args, "search_cap"))
     if args.format == "json":
         _emit(verdict_to_json(v))
     else:
@@ -144,6 +143,8 @@ def _cmd_verify(args):
         ok = report.verdict
         payload = {"kind": "matrix", "m": m, "n": obj.n, "verified": ok}
     else:
+        if args.m is not None:
+            meta = DesignParams(meta.v, meta.k, meta.lam, args.m)
         ok = verify_design(obj, meta)
         payload = {
             "kind": "design",
@@ -379,7 +380,6 @@ def _build_parser():
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("--search-cap", type=int, dest="search_cap")
-    p.add_argument("--materialize-cap", type=int, dest="materialize_cap")
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("construct", parents=[common], help="build a matrix or recipe")

@@ -12,14 +12,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import search as search_mod
-from .constructions import (
-    MaterializeError,
-    _chain,
-    _family10_giant,
-    materialize,
-    plan,
-    recipe_to_json,
-)
+from .constructions import _chain, _family10_giant, plan, recipe_to_json
 from .matrices import format_rows
 from .numtheory import _half_pow, is_perfect_square, is_prime, is_quadratic_residue
 
@@ -238,12 +231,14 @@ def gate_walk(n, m):
     yield "SmallOddDelta", "no admissible row count" if fires else None, report
 
 
-def decide(n, m, search_cap=None, materialize_cap=None):
+def decide(n, m, search_cap=None):
     """Existence verdict for an MH(n, m).
 
     search_cap enables the exhaustive-search fallback for n up to that
-    bound and the search's own cap; materialize_cap limits certificate
-    materialization (the certificate stays symbolic past it).
+    bound and the search's own cap.  A constructed certificate is the
+    recipe plan(n, m), and decide builds no matrix: the recipe's
+    constructors checked every residue law when they made it, and
+    materialize builds the matrix and Gram-checks it.
     """
 
     def verdict(status, reason=None, certificate=None, note=None):
@@ -252,17 +247,9 @@ def decide(n, m, search_cap=None, materialize_cap=None):
     for step, finding, _ in gate_walk(n, m):
         if finding is None:
             continue
-        if step != "Constructed":
-            return verdict("NotExists", step)
-        try:
-            # verifies the matrix at the recipe's modulus (a multiple of m,
-            # or 0) and raises if it fails
-            materialize(finding, materialize_cap)
-        except MaterializeError:
-            # too big, or holds a parameter-level design: the recipe, whose
-            # constructors checked every residue, is the certificate
-            pass
-        return verdict("Exists", step, finding)
+        if step == "Constructed":
+            return verdict("Exists", step, finding)
+        return verdict("NotExists", step)
 
     outcome = _search_fallback(n, m, search_cap)
     if outcome is not None:

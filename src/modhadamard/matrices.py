@@ -161,6 +161,13 @@ class GramReport:
     verdict: bool
 
 
+def _orthogonal_popcounts(n, m):
+    """The popcounts c in 0..n of the xor of two sign rows of length n whose
+    inner product n - 2c is 0 at the modulus; two copies of one row have
+    c = 0."""
+    return frozenset(c for c in range(n + 1) if residue(n - 2 * c, m) == 0)
+
+
 def verify_mh(H, m):
     """Gram check: does H H^T equal nI at the modulus?
 
@@ -179,9 +186,7 @@ def verify_mh(H, m):
     n = H.n
     diagonal_ok = True  # <r, r> = n identically for sign rows
     distinct = list(dict.fromkeys(H.rows))
-    # popcounts c of the xor of two rows whose inner product n - 2c is 0;
-    # two copies of one row have c = 0
-    ok = frozenset(c for c in range(n + 1) if residue(n - 2 * c, m) == 0).__contains__
+    ok = _orthogonal_popcounts(n, m).__contains__
     passed = (len(distinct) == n or ok(0)) and all(
         all(map(ok, map(int.bit_count, map(ri.__xor__, distinct[i + 1 :]))))
         for i, ri in enumerate(distinct)

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, gcd
 
-from .matrices import SignMatrix, verify_mh
+from .matrices import SignMatrix, _orthogonal_popcounts, verify_mh
 
 __all__ = [
     "LimitExceeded",
@@ -85,7 +85,8 @@ def candidate_rows(n, m, mode):
         SearchProblem(n, m, mode="restricted")  # validate the regime
     elif mode != "generic":
         raise ValueError("unknown mode %r" % mode)
-    weights = [w for w in range(n) if (n - 2 * w) % m == 0]
+    # weight n, when admitted, has no row with bit 0 clear
+    weights = _orthogonal_popcounts(n, m)
     return sorted(x << 1 for w in weights for x in _weight_rows(n - 1, w))
 
 
@@ -114,14 +115,14 @@ def _candidate_digest(cands):
     return h.hexdigest()
 
 
-def _compat_mask(order, n, m):
+def _compat_mask(order, n, ok):
     """Return mask(i), the compatibility mask of order[i] over `order`.
 
-    Bit j is set when order[i] and order[j] have inner product
-    n - 2 popcount(order[i] ^ order[j]) divisible by m.  That depends on the
-    popcount alone, so the admissible popcounts are tabulated once.
+    Bit j is set when popcount(order[i] ^ order[j]) is in `ok`, the
+    popcounts at which two rows of length n are orthogonal.  The digit of
+    each popcount is tabulated once.
     """
-    digit = ["1" if (n - 2 * c) % m == 0 else "0" for c in range(n + 1)]
+    digit = ["1" if c in ok else "0" for c in range(n + 1)]
     backwards = order[::-1]  # most significant bit first
 
     def mask(i):
@@ -308,9 +309,10 @@ def run(problem, max_n=None, log_branches=False):
     outcome_log = {"candidate_digest": _candidate_digest(cands)}
     if k == 0:
         return SearchOutcome(None, True, 0, 0, 0, outcome_log)
+    ok = _orthogonal_popcounts(n, m)
     # a row may repeat exactly when it is compatible with itself, i.e.
     # <r, r> = n vanishes at the modulus
-    allow_repeat = n % m == 0
+    allow_repeat = 0 in ok
     branch_records = []
 
     def traverse(order, starts, goal, need, repeat, fixed=(), label=None):
@@ -318,7 +320,7 @@ def run(problem, max_n=None, log_branches=False):
         the rows `fixed`: (sorted witness rows or None, nodes, solutions).
         goal "first" stops at the first witness."""
         compat = [None] * len(order)
-        mask = _compat_mask(order, n, m)
+        mask = _compat_mask(order, n, ok)
         nodes = 0
         best = None
         total = 0
@@ -343,7 +345,7 @@ def run(problem, max_n=None, log_branches=False):
 
     def compatible(c, rows):
         """The rows of `rows` compatible with c, in their order."""
-        return [x for x in rows if (n - 2 * (x ^ c).bit_count()) % m == 0]
+        return [x for x in rows if (x ^ c).bit_count() in ok]
 
     # the canonical first rows, each with the number of candidates of its weight
     firsts = Counter(((1 << c.bit_count()) - 1) << 1 for c in cands)
@@ -375,7 +377,7 @@ def run(problem, max_n=None, log_branches=False):
         # every two candidates compatible (checked up to the first pair that
         # is not): K_s = C(k, s), with no DFS
         if all(
-            (n - 2 * (cands[i] ^ cands[j]).bit_count()) % m == 0
+            (cands[i] ^ cands[j]).bit_count() in ok
             for i in range(k) for j in range(i + 1, k)
         ):
             return sum(comb(k, s) * comb(n - 2, s - 1) for s in set_sizes), 0

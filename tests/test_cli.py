@@ -113,7 +113,7 @@ def test_verify_failure_exit(capsys, tmp_path):
 
 
 def test_verify_design_file(capsys, tmp_path):
-    from modhadamard import catalog_design, format_matrix_text
+    from modhadamard import DesignParams, catalog_design, format_matrix_text
 
     D, params = catalog_design("fano_7_3_1")
     path = tmp_path / "fano.txt"
@@ -135,6 +135,17 @@ def test_verify_design_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify-design", str(sign))
     assert code == 11 and out == ""
     assert "not a design file" in err
+    # a modulus after the file replaces the header's, for a design as for a
+    # sign matrix: with k = 1 and lambda = 3 the Fano plane holds mod 2 only
+    mod2 = tmp_path / "fano_mod2.txt"
+    mod2.write_text(format_matrix_text(D, params=DesignParams(7, 1, 3, 0)))
+    code, out, _ = run_cli(capsys, "verify", str(mod2))
+    assert code == 1 and out == "design: FAIL\n"
+    code, out, _ = run_cli(capsys, "verify", str(mod2), "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "kind": "design", "lambda": 3, "k": 1, "m": 2, "v": 7, "verified": True
+    }
 
 
 def test_search_command(capsys):
@@ -208,7 +219,7 @@ def test_nonexist_is_decides_gate_verdict(capsys):
             args = parser.parse_args(["nonexist", str(n), str(m), "--format", "json"])
             code = args.func(args)
             doc = json.loads(capsys.readouterr().out)
-            refuted = decide(n, m, materialize_cap=1).status == "NotExists"
+            refuted = decide(n, m).status == "NotExists"
             assert doc["established"] is refuted, (n, m)
             assert code == (1 if refuted else 2), (n, m)
     # J - 2I exists at n = m + 4 although the Delta test rejects it
@@ -349,6 +360,12 @@ def test_env_var_caps(capsys, monkeypatch):
     monkeypatch.setenv("MODHADAMARD_MATERIALIZE_CAP", "0")
     code, _, err = run_cli(capsys, "construct", "57", "7")
     assert code == 11
+    # decide builds no matrix, so it reads no materialize cap and takes no flag
+    code, out, err = run_cli(capsys, "decide", "57", "7")
+    assert code == 0 and out.startswith("MH(57, 7): Exists") and err == ""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decide", "57", "7", "--materialize-cap", "5"])
+    assert exc.value.code == 10
 
 
 def test_caps_read_only_by_commands_that_take_them(capsys, monkeypatch, tmp_path):
@@ -391,7 +408,7 @@ def test_internal_errors_exit_11(capsys, monkeypatch):
     assert code == 11
     assert "search produced an invalid witness" in err
     monkeypatch.setattr(constructions, "verify_mh", failing)
-    code, _, err = run_cli(capsys, "decide", "57", "7")
+    code, _, err = run_cli(capsys, "construct", "57", "7")
     assert code == 11
     assert "materialized matrix fails verification" in err
 
@@ -436,7 +453,8 @@ def test_decide_parameter_level_certificate_does_not_exit_1(capsys, monkeypatch)
 
 def test_certificate_verified_once(capsys, monkeypatch):
     # a matrix is Gram-checked once, where it is produced (materialize or
-    # search.run): no recipe node, decide or the CLI checks it again
+    # search.run): no recipe node or the CLI checks it again, and decide,
+    # whose certificate is a recipe, checks none
     real = matrices.verify_mh
     orders = []
 
@@ -448,15 +466,15 @@ def test_certificate_verified_once(capsys, monkeypatch):
         if hasattr(mod, "verify_mh"):
             monkeypatch.setattr(mod, "verify_mh", counting)
     calls = [
-        (452, lambda: materialize(plan(452, 5))),
-        (57, lambda: decide(57, 7)),
-        (8, lambda: run_cli(capsys, "search", "8", "2")),
+        ([452], lambda: materialize(plan(452, 5))),
+        ([], lambda: decide(57, 7)),
+        ([8], lambda: run_cli(capsys, "search", "8", "2")),
     ]
-    for order, call in calls:
+    for checked, call in calls:
         call()  # loads and checks the cached seeds
         orders.clear()
         call()
-        assert orders == [order]
+        assert orders == checked
 
 
 def test_python_dash_m_package():

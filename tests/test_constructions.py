@@ -366,8 +366,12 @@ def test_plan_exact_pool_prime_gap():
 
 
 def test_plan_small_sweep_materializes_and_verifies():
-    """Every planned order up to 200 must materialize and pass the Gram check."""
-    for m in range(2, 13):
+    """Every planned order up to 200 must materialize and pass the Gram check.
+
+    The moduli are those the gate tests walk, so every certificate that
+    decide returns for n <= 200 there is built and Gram-checked here, as
+    decide builds none."""
+    for m in range(2, 31):
         for n in range(3, 201):
             r = plan(n, m)
             if r is None:
@@ -576,7 +580,7 @@ def test_plan_doubles_down_to_a_quarter():
         assert plan(n // 2, 7) is not None and plan(n // 2, 7).node == "Double"
         H = materialize(r)
         assert H.n == n and verify_mh(H, 7).verdict, n
-        v = decide(n, 7, materialize_cap=0)
+        v = decide(n, 7)
         assert (v.status, v.reason) == ("Exists", "Constructed"), n
 
 

@@ -1,17 +1,24 @@
+import hashlib
+import json
 import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import modhadamard
 from modhadamard import (
     NotApplicable,
     check_gcd_bound,
+    cli,
     constructions,
     decide,
+    existence,
     gate_walk,
     materialize,
+    matrices,
     plan,
+    search,
     small_case_test,
     small_even_reduction,
     special_case_2m_plus_1,
@@ -159,7 +166,7 @@ def test_gate_walk_is_decides_order():
                 for step, finding, _ in gate_walk(n, m)
                 if finding is not None
             ]
-            v = decide(n, m, materialize_cap=1)
+            v = decide(n, m)
             if not found:
                 assert v.status == "Unknown", (n, m)
                 continue
@@ -207,9 +214,9 @@ def _holds_param_design(recipe):
 
 
 def test_decide_parameter_level_certificates_stay_symbolic(monkeypatch):
-    # below 23,170, the largest order the default cap builds, no m = 7
-    # recipe holds a design known only by its parameters: every Exists
-    # that decide returns there is built and Gram-checked
+    # below 23,170, the largest order the default materialize cap builds,
+    # no m = 7 recipe holds a design known only by its parameters, so every
+    # m = 7 certificate there can be built and Gram-checked by materialize
     for n in range(3, 23171):
         assert not _holds_param_design(plan(n, 7)), n
     built = []
@@ -221,14 +228,54 @@ def test_decide_parameter_level_certificates_stay_symbolic(monkeypatch):
         return mat
 
     monkeypatch.setattr(constructions, "_build", counting_build)
-    # the first orders that extend by (52480, 5832, 648) once: under a
-    # cap that admits them, the extension reads its design before its base
+    # the first orders that extend by (52480, 5832, 648) once; decide
+    # builds no certificate, at any order
     for n in (52495, 52565):
-        v = decide(n, 7, materialize_cap=10**10)
+        v = decide(n, 7)
         assert (v.status, v.reason) == ("Exists", "Constructed"), n
         assert v.certificate == plan(n, 7)
         assert _holds_param_design(v.certificate)
     assert built == []
+
+
+def test_decide_builds_and_checks_no_matrix(monkeypatch):
+    # a certificate is plan's recipe, checked by the constructors that made
+    # it: decide calls no build and no Gram check, in any module, once the
+    # bundled seeds are loaded (and checked, once per process)
+    pairs = [(n, m) for m in range(2, 31) for n in range(3, 201)]
+    pairs += [(6007, 7), (23170, 7), (52495, 7)]
+    for n, m in pairs:
+        decide(n, m)
+    calls = []
+
+    def counting(real):
+        def wrapper(*args):
+            calls.append(real.__name__)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("_build", "verify_mh"):
+        real = getattr(constructions, name)
+        for mod in (modhadamard, constructions, existence, matrices, search, cli):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counting(real))
+    for n, m in pairs:
+        decide(n, m)
+    assert calls == []
+    assert {decide(n, 7).status for n in (6007, 23170, 52495)} == {"Exists"}
+
+
+def test_decide_verdicts_are_pinned_byte_for_byte():
+    # SHA-256 over one verdict JSON line per (m, n), m outer, 3 <= n <= 3000
+    digest = hashlib.sha256()
+    for m in (5, 7, 9, 10, 14):
+        for n in range(3, 3001):
+            line = json.dumps(verdict_to_json(decide(n, m)), sort_keys=True) + "\n"
+            digest.update(line.encode())
+    assert digest.hexdigest() == (
+        "ec61aac3c1f5794342fe27c792bbc1e46e1ab826d447674431c411ad03db9954"
+    )
 
 
 def test_threshold_notes_by_class():
@@ -265,7 +312,7 @@ def test_every_unknown_note_names_a_gate_that_plan_passes():
     # class-12 bound
     unknown = 0
     for n in range(3, 3001):
-        v = decide(n, 7, materialize_cap=0)
+        v = decide(n, 7)
         if v.status != "Unknown":
             continue
         unknown += 1
