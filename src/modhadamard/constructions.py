@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from math import gcd, isqrt, prod
+from operator import and_, xor
 
 from .matrices import (
     DesignParams,
@@ -22,8 +23,10 @@ from .matrices import (
     SignMatrix,
     _core,
     _direct_sum,
+    _every_pair,
     _kron,
     _kron_modulus,
+    _orthogonal_popcounts,
     _read_rows,
     all_ones,
     design_to_mh,
@@ -135,6 +138,23 @@ def _develop(mods, subset):
     return IncidenceMatrix(v, tuple(rows))
 
 
+def _development_ok(D, params):
+    """verify_design(D, params) for a development D = _develop(mods, S)
+    with exact params.
+
+    Row e of D is row 0 translated by e, so every row and every column
+    has |S| ones, and the overlap of rows g and h is that of rows 0 and
+    h - g.  Row 0's weight and its overlaps with the other rows are the
+    whole check: O(v) big-int operations in place of O(v^2).
+    """
+    rows = D.rows
+    return (
+        D.v == params.v
+        and rows[0].bit_count() == params.k
+        and _every_pair(rows[:1], rows, 1, and_, {params.lam})
+    )
+
+
 def catalog_names():
     return sorted(_load_json("catalog.json"))
 
@@ -165,7 +185,8 @@ def catalog_design(name):
             subset.append(index[t])
         mat = _develop(mods, subset)
     params = DesignParams(v, k, lam, 0)
-    if not verify_design(mat, params):
+    check = verify_design if group is None else _development_ok
+    if not check(mat, params):
         raise ValueError("catalog design %s fails verification" % name)
     return mat, params
 
@@ -263,14 +284,30 @@ def paley_hadamard(q):
     and already normalized: first row and column all +1.
     """
     _paley_field(q, prime=True)
-    # The bordered quadratic-residue design: -1 is a non-square, so entry
-    # (i, j) of the core is -1 exactly when i = j or j - i is a square.
-    design = _develop((q,), _nonzero_squares(q))
-    rows = [0] + [(d | 1 << i) << 1 for i, d in enumerate(design.rows)]
-    mat = SignMatrix(q + 1, tuple(rows))
-    if not verify_mh(mat, 0).verdict:
+    mat = _bordered(_develop((q,), _nonzero_squares(q)))
+    if not _bordered_ok(mat):
         raise RuntimeError("paley matrix failed self-check at q=%d" % q)
     return mat
+
+
+def _bordered(design):
+    """The sign matrix [[1, 1], [1, C]] whose core C has entry (i, j) -1
+    exactly when i = j or design row i has entry j.  For the quadratic
+    residues mod q = 3 mod 4 (-1 is a non-square) this is Paley's matrix."""
+    rows = [0] + [(d | 1 << i) << 1 for i, d in enumerate(design.rows)]
+    return SignMatrix(design.v + 1, tuple(rows))
+
+
+def _bordered_ok(H):
+    """verify_mh(H, 0).verdict for H = _bordered(_develop((q,), S)).
+
+    Row 1 + g of H is row 1 with its core part translated by g, below an
+    all-plus border, so the inner product of rows 1 + g and 1 + h is that
+    of rows 1 and 1 + h - g.  Rows 0 and 1 against the rest are the whole
+    check.
+    """
+    rows = H.rows
+    return _every_pair(rows[:2], rows, 1, xor, _orthogonal_popcounts(H.n, 0))
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +320,7 @@ def paley_design(q):
     p, k = _paley_field(q, prime=False)
     mat = _develop((p,) * k, _nonzero_squares(q))
     params = DesignParams(q, (q - 1) // 2, (q - 3) // 4, 0)
-    if not verify_design(mat, params):
+    if not _development_ok(mat, params):
         raise RuntimeError("paley design failed self-check at q=%d" % q)
     return mat, params
 

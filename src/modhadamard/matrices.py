@@ -12,7 +12,10 @@ degrade gracefully to real Hadamard matrices.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from math import gcd
+from operator import and_, xor
 
 from .numtheory import _half_pow
 
@@ -155,10 +158,23 @@ class DesignParams:
 
 @dataclass(frozen=True)
 class GramReport:
+    """Outcome of verify_mh.  offdiag_residues, the key-sorted histogram of
+    the off-diagonal inner products at the modulus, is counted from the
+    stored rows the first time it is read."""
+
     modulus: int
     diagonal_ok: bool
-    offdiag_residues: dict = field(compare=False)
     verdict: bool
+    rows: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def offdiag_residues(self):
+        n = len(self.rows)
+        if self.verdict:
+            counts = {0: n * (n - 1) // 2} if n > 1 else {}
+        else:
+            counts = _residue_histogram(self.rows, n, self.modulus)
+        return dict(sorted(counts.items()))
 
 
 def _orthogonal_popcounts(n, m):
@@ -168,35 +184,84 @@ def _orthogonal_popcounts(n, m):
     return frozenset(c for c in range(n + 1) if residue(n - 2 * c, m) == 0)
 
 
+def _every_pair(firsts, rows, step, op, allowed):
+    """Is the popcount of op(firsts[a], r) in allowed for every a and every
+    r in rows[a * step + 1:]?  The one pair kernel of the Gram checks: each
+    first row is tested against the rest at C speed, and the check stops
+    at the first failing pair.  firsts = rows with step 1 is every pair."""
+    return all(
+        allowed.issuperset(map(int.bit_count, map(op, repeat(x), rows[a * step + 1 :])))
+        for a, x in enumerate(firsts)
+    )
+
+
+def _xor_translations(rows):
+    """A group T of XOR translations of the distinct rows: t in T maps the
+    row set onto itself (r ^ t is a row for every row r).  Returned as a
+    list, 0 first.
+
+    The candidates are t = rows[0] ^ rows[j] for j = 1, 2, 4, ...: in the
+    row order of _kron, with no repeated rows, a Kronecker factor H2 on
+    the right at any depth is found this way (|T| = 2^levels for a Double
+    chain).  A candidate already in T adds nothing; T is the span of the
+    accepted ones.
+    """
+    present = frozenset(rows)
+    group = [0]
+    j = 1
+    while j < len(rows):
+        t = rows[0] ^ rows[j]
+        if t not in group and present.issuperset(map(xor, repeat(t), rows)):
+            group += [g ^ t for g in group]
+        j *= 2
+    return group
+
+
+def _cosets(rows, group):
+    """The distinct rows regrouped into cosets of the translation group,
+    each stored contiguously with its first row, in the original order,
+    first.  The rows are popped from a dict of themselves, so none is
+    copied."""
+    left = dict(zip(rows, rows))
+    out = []
+    for r in rows:
+        if r in left:
+            out += [left.pop(r ^ g) for g in group]
+    return out
+
+
 def verify_mh(H, m):
     """Gram check: does H H^T equal nI at the modulus?
 
-    Returns a GramReport; .verdict is the answer. The off-diagonal residue
-    multiset is kept for diagnostics.
+    Returns a GramReport; .verdict is the answer.  The off-diagonal residue
+    histogram is built only if .offdiag_residues is read.
 
-    Each pair of distinct rows is checked once: two copies of one row have
-    inner product n, and the pairs of copies pass exactly when n = 0 at the
-    modulus. So the cost is quadratic in the number of distinct rows, and
-    the all-ones matrix needs no pair check at all. A passing matrix has
-    every off-diagonal residue 0; only a failing one builds the full
-    histogram, over every pair of rows.
+    Copies of one row have inner product n, so they pass against each
+    other exactly when n = 0 at the modulus; then each pair of distinct
+    rows is checked once against the popcounts whose inner product
+    vanishes, and the check stops at the first failing pair.
+
+    One pair per orbit of a translation group T (see _xor_translations)
+    is enough: (u ^ t) ^ (v ^ t) = u ^ v, so a pair and its translate have
+    the same inner product.  The d distinct rows are split into T-cosets
+    and each coset's first row x is checked against every row from its
+    own coset onward.  If u is in coset A with first row x and t = u ^ x,
+    then (x, v ^ t) is such a checked pair (take A to be the earlier of
+    the cosets of u and v) with the popcount of u ^ v.  That is about
+    d^2 / (2|T|) pairs; with T = {0} it is every pair of distinct rows.
     """
     if m < 0 or m == 1:
         raise ValueError("modulus must be 0 (exact) or >= 2")
     n = H.n
     diagonal_ok = True  # <r, r> = n identically for sign rows
     distinct = list(dict.fromkeys(H.rows))
-    ok = _orthogonal_popcounts(n, m).__contains__
-    passed = (len(distinct) == n or ok(0)) and all(
-        all(map(ok, map(int.bit_count, map(ri.__xor__, distinct[i + 1 :]))))
-        for i, ri in enumerate(distinct)
-    )
+    allowed = _orthogonal_popcounts(n, m)
+    passed = len(distinct) == n or 0 in allowed
     if passed:
-        counts = {0: n * (n - 1) // 2} if n > 1 else {}
-    else:
-        counts = _residue_histogram(H.rows, n, m)
-    verdict = diagonal_ok and passed
-    return GramReport(m, diagonal_ok, dict(sorted(counts.items())), verdict)
+        group = _xor_translations(distinct)
+        rows = _cosets(distinct, group)
+        passed = _every_pair(rows[:: len(group)], rows, len(group), xor, allowed)
+    return GramReport(m, diagonal_ok, diagonal_ok and passed, H.rows)
 
 
 def _residue_histogram(rows, n, m):
@@ -212,23 +277,20 @@ def _residue_histogram(rows, n, m):
 def verify_design(D, params):
     """Check D D^T = (k-lam) I + lam J and DJ = JD = kJ at the modulus.
 
-    As in verify_mh, each pair of rows is checked once at C speed against
-    a table of the allowed intersection sizes.  The column sums are counted
+    As in verify_mh, each pair of rows is checked once, by _every_pair,
+    against the allowed intersection sizes.  The column sums are counted
     on one transpose of the text rows: column j is every v-th character.
     """
     if D.v != params.v:
         raise ValueError("dimension mismatch: matrix %d vs params %d" % (D.v, params.v))
     m, v, rows = params.modulus, D.v, D.rows
-    is_k = frozenset(c for c in range(v + 1) if _congruent(c, params.k, m)).__contains__
-    is_lam = frozenset(c for c in range(v + 1) if _congruent(c, params.lam, m)).__contains__
+    is_k = frozenset(c for c in range(v + 1) if _congruent(c, params.k, m))
+    is_lam = frozenset(c for c in range(v + 1) if _congruent(c, params.lam, m))
     text = "".join(format_rows(D))
     return (
-        all(map(is_k, map(int.bit_count, rows)))
-        and all(is_k(text[j::v].count("1")) for j in range(v))
-        and all(
-            all(map(is_lam, map(int.bit_count, map(ri.__and__, rows[i + 1 :]))))
-            for i, ri in enumerate(rows)
-        )
+        is_k.issuperset(map(int.bit_count, rows))
+        and is_k.issuperset(text[j::v].count("1") for j in range(v))
+        and _every_pair(rows, rows, 1, and_, is_lam)
     )
 
 
@@ -395,7 +457,7 @@ def parse_matrix_text(text):
     with params. Blank lines and inner whitespace are ignored; ragged
     rows are an error.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty input")
     header = lines[0].split()
@@ -414,13 +476,14 @@ def _read_rows(lines, n, alphabet):
     letter is a set bit, column 0 comes first."""
     if len(lines) != n:
         raise ValueError("expected %d rows, got %d" % (n, len(lines)))
+    clear, set_ = alphabet
     digits = str.maketrans(alphabet, "01")
     out = []
     for ln in lines:
         ln = "".join(ln.split())
         if len(ln) != n:
             raise ValueError("ragged row: %r" % ln)
-        if ln.strip(alphabet):
+        if ln.count(clear) + ln.count(set_) != n:
             raise ValueError("bad character in row %r" % ln)
         out.append(int(ln[::-1].translate(digits), 2))
     return tuple(out)

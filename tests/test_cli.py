@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -28,6 +29,9 @@ VERDICT_SCHEMA = json.loads(
     resources.files("modhadamard.data").joinpath("verdict.schema.json").read_text()
 )
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# a child interpreter imports the package from the source tree, as the
+# test process does through pytest's pythonpath
+SOURCE_ENV = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
 
 
 def run_cli(capsys, *argv):
@@ -481,6 +485,7 @@ def test_python_dash_m_package():
     # without __main__.py, python -m also exits 1, so the output is checked
     out = subprocess.run(
         [sys.executable, "-m", "modhadamard", "decide", "13", "7"],
+        env=SOURCE_ENV,
         capture_output=True,
         text=True,
     )
@@ -501,6 +506,7 @@ def test_console_script_installed():
 
     out = subprocess.run(
         [sys.executable, "-m", "modhadamard.cli", "decide", "20", "5"],
+        env=SOURCE_ENV,
         capture_output=True,
         text=True,
     )
@@ -509,7 +515,10 @@ def test_console_script_installed():
     wrapper = "import sys; from modhadamard.cli import main; sys.exit(main())"
     for argv, code in [(["decide", "13", "7"], 1), (["decide", "20", "5"], 0)]:
         out = subprocess.run(
-            [sys.executable, "-c", wrapper, *argv], capture_output=True, text=True
+            [sys.executable, "-c", wrapper, *argv],
+            env=SOURCE_ENV,
+            capture_output=True,
+            text=True,
         )
         assert out.returncode == code, (argv, out.stderr)
 

@@ -20,6 +20,7 @@ from modhadamard import (
     family11_params,
     find_difference_set,
     is_prime,
+    is_prime_power,
     iterate,
     kron,
     materialize,
@@ -42,7 +43,14 @@ from modhadamard import (
     verify_design,
     verify_mh,
 )
-from modhadamard.constructions import _develop, _nonzero_squares
+from modhadamard.constructions import (
+    _bordered,
+    _bordered_ok,
+    _develop,
+    _development_ok,
+    _load_json,
+    _nonzero_squares,
+)
 
 from conftest import SEED
 
@@ -161,6 +169,63 @@ def test_catalog_entries_verify():
         D, params = catalog_design(name)
         assert D.v == params.v
         assert verify_design(D, params), name
+
+
+def _swapped(rng, subset, v, full_check, generator_check):
+    """Swap a random member of subset for a random non-member until the
+    full check rejects the result; the generator check must agree on
+    every swap tried."""
+    subset = sorted(subset)
+    others = [x for x in range(v) if x not in subset]
+    for _ in range(20):
+        swapped = set(subset) - {rng.choice(subset)} | {rng.choice(others)}
+        verdict = full_check(swapped)
+        assert generator_check(swapped) is verdict, (v, subset, swapped)
+        if not verdict:
+            return
+    raise AssertionError("no swap of %r breaks it" % subset)
+
+
+def test_generator_checks_match_the_full_checks():
+    # a developed seed is checked by row 0 (and row 1 of a bordered
+    # matrix) against the rest; verify_design and verify_mh, which check
+    # every pair, are the reference
+    rng = random.Random(SEED)
+    table = _load_json("catalog.json")
+    cases = []
+    for name in catalog_names():
+        if table[name]["group"] is not None:
+            D, params = catalog_design(name)
+            cases.append((tuple(table[name]["group"]), D, params))
+    assert len(cases) >= 5
+    for q in range(3, 200, 4):
+        pp = is_prime_power(q)
+        if pp is not None:
+            D, params = paley_design(q)
+            cases.append(((pp.base,) * pp.exponent, D, params))
+    for mods, D, params in cases:
+        assert _development_ok(D, params) is True
+        assert verify_design(D, params) is True
+        subset = [j for j in range(D.v) if D.rows[0] >> j & 1]
+        if 2 <= params.k <= D.v - 2:  # else every k-subset is a difference set
+            _swapped(
+                rng, subset, D.v,
+                lambda S: verify_design(_develop(mods, S), params),
+                lambda S: _development_ok(_develop(mods, S), params),
+            )
+
+    primes = [q for q in range(3, 200, 4) if is_prime(q)[0]]
+    assert len(primes) == 24
+    for q in primes:
+        H = paley_hadamard(q)
+        assert _bordered_ok(H) is True
+        assert verify_mh(H, 0).verdict is True
+        if q > 3:
+            _swapped(
+                rng, _nonzero_squares(q), q,
+                lambda S: verify_mh(_bordered(_develop((q,), S)), 0).verdict,
+                lambda S: _bordered_ok(_bordered(_develop((q,), S))),
+            )
 
 
 def test_catalog_unknown_name():

@@ -24,13 +24,15 @@ from modhadamard import (
     mh_modulus_of_exact_design,
     normalize,
     paley_design,
+    paley_hadamard,
     parse_matrix_text,
     plan,
     verify_design,
     verify_mh,
 )
 
-from modhadamard.matrices import _kron, residue
+from modhadamard import matrices
+from modhadamard.matrices import _kron, _xor_translations, residue
 
 from conftest import SEED, flip_rows_cols, random_sign_matrix, verified_pool
 
@@ -155,6 +157,82 @@ def test_verify_mh_all_ones():
             else:
                 assert report.verdict is False
                 assert report.offdiag_residues == {residue(n, m): pairs}
+
+
+def _translations_of(H):
+    """The translation group verify_mh finds in H's rows, after checking
+    that each of its elements maps the distinct rows onto themselves."""
+    distinct = list(dict.fromkeys(H.rows))
+    group = _xor_translations(distinct)
+    assert group[0] == 0 and len(set(group)) == len(group)
+    for t in group:
+        assert {r ^ t for r in distinct} == set(distinct)
+    return group
+
+
+def test_orbit_reduction_matches_unreduced_check():
+    # verify_mh checks one pair per orbit of the XOR translations it finds
+    # (pruning on); reference_gram checks every pair (pruning off).  The
+    # bases are random, with repeated rows, or J - 2I, which passes at the
+    # divisors of n - 4; H2 goes on either side, 0 to 3 times.
+    rng = random.Random(SEED)
+    seen = set()
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            pool = [rng.getrandbits(n) for _ in range(rng.randint(1, n))]
+            H = SignMatrix(n, tuple(rng.choice(pool) for _ in range(n)))
+        else:
+            H = j_minus_2i(n)
+        for _ in range(rng.randint(0, 3)):
+            if 2 * H.n <= 48:
+                H = _kron(H, F2) if rng.random() < 0.5 else _kron(F2, H)
+        rows = list(H.rows)
+        if rng.random() < 0.5:
+            rng.shuffle(rows)
+        if rng.random() < 0.3:
+            rows[rng.randrange(H.n)] ^= 1 << rng.randrange(H.n)
+        H = SignMatrix(H.n, tuple(rows))
+        m = rng.choice(MODULI)
+        got = gram_fields(verify_mh(H, m))
+        assert got == reference_gram(H, m), (H, m)
+        seen.add((len(_translations_of(H)) > 1, got[3]))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_translations_of_double_chains():
+    # plan(1024, 0) doubles three times, plan(880, 7) once
+    assert plan(1024, 0).node == plan(880, 7).node == "Double"
+    assert len(_translations_of(materialize(plan(1024, 0)))) == 8
+    assert len(_translations_of(materialize(plan(880, 7)))) == 2
+
+
+def test_histogram_built_on_demand(monkeypatch):
+    real = matrices._residue_histogram
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matrices, "_residue_histogram", counting)
+    # order 200 at m = 5: the copies of row 0 pass, the flipped entry fails
+    rows = list(materialize(plan(200, 5)).rows)
+    rows[1:9] = [rows[0]] * 8
+    rows[50] ^= 1 << 17
+    paley = list(paley_hadamard(19).rows)
+    paley[3] ^= 1 << 5
+    for H, m in ((SignMatrix(200, tuple(rows)), 5), (SignMatrix(20, tuple(paley)), 0)):
+        calls.clear()
+        report = verify_mh(H, m)
+        assert report.verdict is False
+        assert calls == []
+        want = reference_gram(H, m)
+        assert gram_fields(report) == want
+        assert list(report.offdiag_residues) == list(want[2])
+        assert len(calls) == 1
+        report.offdiag_residues
+        assert len(calls) == 1
 
 
 def test_kron_matches_blockwise_reference():
