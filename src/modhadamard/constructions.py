@@ -15,24 +15,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from math import gcd, isqrt, prod
-from operator import and_, xor
+from operator import and_
 
 from .matrices import (
     DesignParams,
     IncidenceMatrix,
     SignMatrix,
-    _core,
-    _direct_sum,
     _every_pair,
-    _kron,
+    _iterate_built,
+    _kron_built,
     _kron_modulus,
-    _orthogonal_popcounts,
     _read_rows,
+    _rotation,
     all_ones,
     design_to_mh,
     j_minus_2i,
     mh_modulus_of_exact_design,
-    normalize,
     verify_design,
     verify_mh,
 )
@@ -111,31 +109,38 @@ def _develop(mods, subset):
 
     subset holds element indices in _group_elements order, where the last
     factor varies fastest; row e marks the translate e + subset.  Adding the
-    generator of factor i moves every index by one sub-block of
-    s = m_(i+1) ... m_(r-1) places, cyclically within its block of m_i * s
-    indices, so a row's translate is that row with every block rotated by
-    s bits: a few big-int operations per row.
+    generator of a factor is one of the column rotations of
+    _develop_rotations(mods), a few big-int operations per row.
     """
     v = prod(mods)
     row = 0
     for j in subset:
         row |= 1 << j
     rows = [row]
-    full = (1 << v) - 1
+    for rotation in _develop_rotations(mods):
+        block, s = rotation[:2]
+        turn = _rotation(rotation, v)
+        translates = [rows]
+        for _ in range(block // s - 1):
+            translates.append(list(map(turn, translates[-1])))
+        rows = [r for column in zip(*translates) for r in column]
+    return IncidenceMatrix(v, tuple(rows))
+
+
+def _develop_rotations(mods):
+    """The column rotations of every _develop(mods, S), one per factor of
+    order m_i > 1: adding its generator moves every index by one sub-block
+    of s = m_(i+1) ... m_(r-1) places, cyclically within its block of
+    m_i * s indices, so it turns each such block by s."""
+    v = prod(mods)
+    out = []
     block = v
     for m in mods:
         s = block // m
-        low = ((1 << (block - s)) - 1) * (full // ((1 << block) - 1))
-        high = full ^ low
-        developed = []
-        for r in rows:
-            developed.append(r)
-            for _ in range(m - 1):
-                r = (r & low) << s | (r & high) >> (block - s)
-                developed.append(r)
-        rows = developed
+        if m > 1:
+            out.append((block, s, tuple(range(0, v, block))))
         block = s
-    return IncidenceMatrix(v, tuple(rows))
+    return tuple(out)
 
 
 def _development_ok(D, params):
@@ -151,7 +156,7 @@ def _development_ok(D, params):
     return (
         D.v == params.v
         and rows[0].bit_count() == params.k
-        and _every_pair(rows[:1], rows, 1, and_, {params.lam})
+        and _every_pair(rows[:1], rows, (1,), and_, {params.lam})
     )
 
 
@@ -196,7 +201,8 @@ def two_circulant(name):
     """Sign matrix [[A, B], [B^T, -A^T]] from bundled circulant first rows.
 
     Returns (SignMatrix, modulus); the matrix is verified at that modulus
-    on load and corrupt data is a hard error.
+    on load, by the rotation of both halves (_two_circulant_rotations), and
+    corrupt data is a hard error.
     """
     table = _load_json("two_circulant.json")
     if name not in table:
@@ -209,7 +215,15 @@ def two_circulant(name):
         if len(line) != b:
             raise ValueError("two-circulant %s: bad row length" % name)
         minus.append({j for j, ch in enumerate(line) if ch != "+"})
-    a_minus, b_minus = minus
+    mat = _two_circulant(b, *minus)
+    if not verify_mh(mat, m, _two_circulant_rotations(b)).verdict:
+        raise ValueError("two-circulant %s fails verification" % name)
+    return mat, m
+
+
+def _two_circulant(b, a_minus, b_minus):
+    """[[A, B], [B^T, -A^T]] for circulants A and B of order b whose first
+    rows have -1 at a_minus and b_minus, unchecked."""
     # each block is developed from the -1 positions of its first row: those
     # of B^T are the negated ones of B, those of -A^T the negated +1s of A
     firsts = (
@@ -221,10 +235,14 @@ def two_circulant(name):
     blocks = [_develop((b,), first).rows for first in firsts]
     top = [x | y << b for x, y in zip(blocks[0], blocks[1])]
     bottom = [x | y << b for x, y in zip(blocks[2], blocks[3])]
-    mat = SignMatrix(2 * b, tuple(top + bottom))
-    if not verify_mh(mat, m).verdict:
-        raise ValueError("two-circulant %s fails verification" % name)
-    return mat, m
+    return SignMatrix(2 * b, tuple(top + bottom))
+
+
+def _two_circulant_rotations(b):
+    """Turning both halves of the columns by one maps row i of each
+    circulant block row to row i + 1: the symmetry of a two-circulant
+    matrix of block size b."""
+    return ((b, 1, (0, b)),)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +303,7 @@ def paley_hadamard(q):
     """
     _paley_field(q, prime=True)
     mat = _bordered(_develop((q,), _nonzero_squares(q)))
-    if not _bordered_ok(mat):
+    if not verify_mh(mat, 0, _core_rotations(q + 1)).verdict:
         raise RuntimeError("paley matrix failed self-check at q=%d" % q)
     return mat
 
@@ -298,16 +316,11 @@ def _bordered(design):
     return SignMatrix(design.v + 1, tuple(rows))
 
 
-def _bordered_ok(H):
-    """verify_mh(H, 0).verdict for H = _bordered(_develop((q,), S)).
-
-    Row 1 + g of H is row 1 with its core part translated by g, below an
-    all-plus border, so the inner product of rows 1 + g and 1 + h is that
-    of rows 1 and 1 + h - g.  Rows 0 and 1 against the rest are the whole
-    check.
-    """
-    rows = H.rows
-    return _every_pair(rows[:2], rows, 1, xor, _orthogonal_popcounts(H.n, 0))
+def _core_rotations(n):
+    """Turning columns 1..n-1 by one maps row i of J - 2I, and row i of a
+    bordered cyclic development such as Paley's matrix, to row i + 1 for
+    i >= 1 and fixes row 0: their symmetry at order n >= 3."""
+    return ((n - 1, 1, (1,)),) if n >= 3 else ()
 
 
 @lru_cache(maxsize=None)
@@ -681,7 +694,9 @@ def materialize(recipe, size_cap=None):
     """Build the sign matrix for an mh recipe and verify it.
 
     This is the one Gram check of the built matrix: no recipe node checks
-    its intermediate results, and a failure raises RuntimeError.
+    its intermediate results, and a failure raises RuntimeError.  The
+    check is given the column rotations that the recipe proposes (see
+    _build) and keeps those that map the rows onto themselves.
 
     Raises CapExceeded when the packed matrix would not fit in size_cap
     bytes (default 64 MiB), and MaterializeError when the tree contains a
@@ -692,10 +707,10 @@ def materialize(recipe, size_cap=None):
     cap = DEFAULT_MATERIALIZE_CAP if size_cap is None else int(size_cap)
     if (recipe.order * recipe.order + 7) // 8 > cap:
         raise CapExceeded(recipe.order, cap)
-    mat = _build(recipe)
+    mat, rotations = _build(recipe)
     if mat.n != recipe.order:
         raise RuntimeError("materialized order %d, expected %d" % (mat.n, recipe.order))
-    if recipe.modulus != 1 and not verify_mh(mat, recipe.modulus).verdict:
+    if recipe.modulus != 1 and not verify_mh(mat, recipe.modulus, rotations).verdict:
         raise RuntimeError(
             "materialized matrix fails verification at modulus %d" % recipe.modulus
         )
@@ -717,34 +732,53 @@ def materialize_design(recipe):
     raise ValueError("unknown design node %r" % recipe.node)
 
 
+def _design_rotations(recipe):
+    """The column rotations of a design recipe's incidence matrix: those
+    of its development, none for explicit rows."""
+    if recipe.node == "PaleyDesign":
+        p, k = _paley_field(recipe.args[0], prime=False)
+        return _develop_rotations((p,) * k)
+    group = _load_json("catalog.json")[recipe.args[0]]["group"]
+    return () if group is None else _develop_rotations(tuple(group))
+
+
 def _build(recipe):
-    """The recipe's matrix, unchecked: materialize() verifies the result."""
+    """The recipe's matrix, unchecked, and the column rotations (L, s,
+    starts) that it proposes for the Gram check: materialize() verifies
+    the result, and verify_mh keeps a rotation only if it maps the rows
+    onto themselves.
+
+    Each seed proposes its group's rotations.  A Kronecker product turns
+    the right factor's blocks inside each of its n1 blocks of n2 columns,
+    and the left factor's whole blocks of n2 columns.  Iterate carries
+    them through its rounds (_iterate_built).
+    """
     node = recipe.node
     if node == "AllOnes":
-        return all_ones(recipe.args[0])
+        return all_ones(recipe.args[0]), ()
     if node == "JMinus2I":
-        return j_minus_2i(recipe.args[0])
+        n = recipe.args[0]
+        return j_minus_2i(n), _core_rotations(n)
     if node == "PaleyHadamard":
-        return paley_hadamard(recipe.args[0])
+        q = recipe.args[0]
+        return paley_hadamard(q), _core_rotations(q + 1)
     if node == "TwoCirculant":
-        return two_circulant(recipe.args[0])[0]
+        mat = two_circulant(recipe.args[0])[0]
+        return mat, _two_circulant_rotations(mat.n // 2)
     if node == "CatalogDesign":
-        return design_to_mh(catalog_design(recipe.args[0])[0])
+        return design_to_mh(catalog_design(recipe.args[0])[0]), _design_rotations(recipe)
     if node == "Kron":
         a, b = recipe.children
-        return _kron(_build(a), _build(b))
+        return _kron_built(_build(a), _build(b))
     if node == "Double":
         (a,) = recipe.children
-        return _kron(_build(a), SignMatrix(2, (0, 2)))
+        return _kron_built(_build(a), (SignMatrix(2, (0, 2)), ()))
     if node == "Iterate":
         base, design = recipe.children
         # the design first: one known only by its parameters raises
         # MaterializeError before any of the base is built
-        comp_mat = materialize_design(design)[0]
-        mat = _build(base)
-        for _ in range(recipe.args[0]):
-            mat = design_to_mh(_direct_sum(_core(normalize(mat)), comp_mat))
-        return mat
+        comp = materialize_design(design)[0]
+        return _iterate_built(_build(base), comp, _design_rotations(design), recipe.args[0])
     raise ValueError("unknown recipe node %r" % node)
 
 

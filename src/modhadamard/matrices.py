@@ -13,7 +13,7 @@ degrade gracefully to real Hadamard matrices.
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd
 from operator import and_, xor
 
@@ -184,21 +184,50 @@ def _orthogonal_popcounts(n, m):
     return frozenset(c for c in range(n + 1) if residue(n - 2 * c, m) == 0)
 
 
-def _every_pair(firsts, rows, step, op, allowed):
-    """Is the popcount of op(firsts[a], r) in allowed for every a and every
-    r in rows[a * step + 1:]?  The one pair kernel of the Gram checks: each
-    first row is tested against the rest at C speed, and the check stops
-    at the first failing pair.  firsts = rows with step 1 is every pair."""
+def _every_pair(firsts, rows, starts, op, allowed):
+    """Is the popcount of op(x, r) in allowed for each x in firsts, paired
+    with its start in starts, and every r in rows[start:]?  The one pair
+    kernel of the Gram checks: each first row is tested against its rows at
+    C speed, and the check stops at the first failing pair.  firsts = rows
+    with starts 1, 2, 3, ... is every pair."""
     return all(
-        allowed.issuperset(map(int.bit_count, map(op, repeat(x), rows[a * step + 1 :])))
-        for a, x in enumerate(firsts)
+        allowed.issuperset(map(int.bit_count, map(op, repeat(x), rows[start:])))
+        for x, start in zip(firsts, starts)
     )
+
+
+def _rotation(rotation, n):
+    """The column permutation rotation = (L, s, starts) of rows of n bits,
+    as a function of a row: in each block of columns [a, a + L), a in
+    starts, column a + j goes to a + (j + s) % L.  So the blocks' first
+    L - s columns move up by s and their last s down by L - s, and a row
+    costs a few big-int operations.  None unless the blocks are disjoint
+    and inside [0, n) and 0 < s < L: else the map is no permutation.
+    """
+    L, s, starts = rotation
+    starts = sorted(starts)
+    if not (
+        0 < s < L
+        and starts
+        and starts[0] >= 0
+        and starts[-1] + L <= n
+        and all(b - a >= L for a, b in zip(starts, starts[1:]))
+    ):
+        return None
+    low = high = 0
+    for a in starts:
+        low |= ((1 << (L - s)) - 1) << a
+        high |= ((1 << s) - 1) << (a + L - s)
+    keep = ((1 << n) - 1) ^ low ^ high
+    back = L - s
+    return lambda r: (r & low) << s | (r & high) >> back | r & keep
 
 
 def _xor_translations(rows):
     """A group T of XOR translations of the distinct rows: t in T maps the
     row set onto itself (r ^ t is a row for every row r).  Returned as a
-    list, 0 first.
+    list, 0 first; group[2**i] is the i-th translation accepted, so those
+    generate it.
 
     The candidates are t = rows[0] ^ rows[j] for j = 1, 2, 4, ...: in the
     row order of _kron, with no repeated rows, a Kronecker factor H2 on
@@ -217,20 +246,50 @@ def _xor_translations(rows):
     return group
 
 
-def _cosets(rows, group):
-    """The distinct rows regrouped into cosets of the translation group,
-    each stored contiguously with its first row, in the original order,
-    first.  The rows are popped from a dict of themselves, so none is
-    copied."""
+def _symmetries(rows, n, rotations):
+    """Maps of the distinct rows onto themselves that keep the popcount of
+    u ^ v for every two rows u, v, each a function of a row: the generators
+    of _xor_translations(rows), as (u ^ t) ^ (v ^ t) = u ^ v, and each
+    proposed rotation (see _rotation) that maps every row to a row.  A
+    column permutation moves the bits of u ^ v without changing their
+    number, and it is injective, so one that maps the finite row set into
+    itself permutes it.  A proposal that fails is dropped, never trusted.
+    """
+    group = _xor_translations(rows)
+    maps = [group[1 << i].__xor__ for i in range(len(group).bit_length() - 1)]
+    present = frozenset(rows)
+    for rotation in rotations:
+        turn = _rotation(rotation, n)
+        if turn is not None and present.issuperset(map(turn, rows)):
+            maps.append(turn)
+    return maps
+
+
+def _orbits(rows, maps):
+    """The distinct rows split into the orbits of the group that the maps
+    generate, each a list that starts with its first row in the given
+    order, largest orbits first and otherwise in the order of their first
+    rows.  An orbit is the rows reached from its first one by the maps, as
+    each map permutes the rows.  The rows are popped from a dict of
+    themselves, so none is copied."""
     left = dict(zip(rows, rows))
     out = []
     for r in rows:
         if r in left:
-            out += [left.pop(r ^ g) for g in group]
+            orbit = [left.pop(r)]
+            for x in orbit:
+                if not left:
+                    break
+                for g in maps:
+                    y = g(x)
+                    if y in left:
+                        orbit.append(left.pop(y))
+            out.append(orbit)
+    out.sort(key=len, reverse=True)
     return out
 
 
-def verify_mh(H, m):
+def verify_mh(H, m, rotations=()):
     """Gram check: does H H^T equal nI at the modulus?
 
     Returns a GramReport; .verdict is the answer.  The off-diagonal residue
@@ -241,14 +300,19 @@ def verify_mh(H, m):
     rows is checked once against the popcounts whose inner product
     vanishes, and the check stops at the first failing pair.
 
-    One pair per orbit of a translation group T (see _xor_translations)
-    is enough: (u ^ t) ^ (v ^ t) = u ^ v, so a pair and its translate have
-    the same inner product.  The d distinct rows are split into T-cosets
-    and each coset's first row x is checked against every row from its
-    own coset onward.  If u is in coset A with first row x and t = u ^ x,
-    then (x, v ^ t) is such a checked pair (take A to be the earlier of
-    the cosets of u and v) with the popcount of u ^ v.  That is about
-    d^2 / (2|T|) pairs; with T = {0} it is every pair of distinct rows.
+    One pair per orbit of a group G of symmetries is enough: G is generated
+    by the XOR translations that _xor_translations finds and by those of
+    the proposed column rotations (L, s, starts), see _rotation, that map
+    every distinct row to a row; each is checked here, none is trusted.
+    Every g in G permutes the d distinct rows and keeps the popcount of
+    u ^ v (see _symmetries), so a pair and its image under g have the same
+    inner product.  The rows are split into G-orbits, largest first (the
+    fewest pairs), and each orbit's first row x is checked against every
+    row from its own orbit onward.  If u is in orbit A with first row x and
+    g(u) = x, then (x, g(v)) is such a checked pair (take A to be the
+    earlier of the orbits of u and v) with the popcount of u ^ v.  With no
+    rotation kept and no translation found, that is every pair of distinct
+    rows.
     """
     if m < 0 or m == 1:
         raise ValueError("modulus must be 0 (exact) or >= 2")
@@ -258,9 +322,10 @@ def verify_mh(H, m):
     allowed = _orthogonal_popcounts(n, m)
     passed = len(distinct) == n or 0 in allowed
     if passed:
-        group = _xor_translations(distinct)
-        rows = _cosets(distinct, group)
-        passed = _every_pair(rows[:: len(group)], rows, len(group), xor, allowed)
+        orbits = _orbits(distinct, _symmetries(distinct, n, rotations))
+        rows = [r for orbit in orbits for r in orbit]
+        starts = accumulate(map(len, orbits), initial=1)
+        passed = _every_pair([o[0] for o in orbits], rows, starts, xor, allowed)
     return GramReport(m, diagonal_ok, diagonal_ok and passed, H.rows)
 
 
@@ -290,7 +355,7 @@ def verify_design(D, params):
     return (
         is_k.issuperset(map(int.bit_count, rows))
         and is_k.issuperset(text[j::v].count("1") for j in range(v))
-        and _every_pair(rows, rows, 1, and_, is_lam)
+        and _every_pair(rows, rows, range(1, v), and_, is_lam)
     )
 
 
@@ -333,20 +398,96 @@ def _kron(H1, H2):
     entry j1 of row i1 of H1 is -1. So an output row is the H2 row repeated
     n1 times, XOR the block mask at every set bit of the H1 row. Spreading
     the H1 row's bits to stride n2 once makes each output row two big-int
-    operations.
+    operations.  The spread row is the H1 row's binary digits written into
+    every n2-th place of a string of zeros, reused from row to row.
     """
     n1, n2 = H1.n, H2.n
-    one = "0" * (n2 - 1) + "1"
-    spread_digits = str.maketrans({"0": "0" * n2, "1": one})
     spec = "0%db" % n1
-    repunit = int(one * n1, 2)  # bit j1*n2 set for every j1
+    spread = bytearray(b"0" * (n1 * n2))
+    spread[n2 - 1 :: n2] = b"1" * n1
+    repunit = int(spread, 2)  # bit j1*n2 set for every j1
     mask2 = (1 << n2) - 1
     tiles = [r2 * repunit for r2 in H2.rows]
     out = []
     for r1 in H1.rows:
-        negated = int(format(r1, spec).translate(spread_digits), 2) * mask2
+        spread[n2 - 1 :: n2] = format(r1, spec).encode()
+        negated = int(spread, 2) * mask2
         out += [negated ^ t for t in tiles]
     return SignMatrix(n1 * n2, tuple(out))
+
+
+def _kron_built(left, right):
+    """_kron of two built (matrix, rotations) pairs, with the product's
+    rotations: column j2 of block j1 is column j1 * n2 + j2, so the right
+    factor's blocks turn inside each block of n2 columns, and the left
+    factor's turn whole blocks of n2 columns."""
+    (H1, rot1), (H2, rot2) = left, right
+    n1, n2 = H1.n, H2.n
+    rotations = tuple(
+        (L * n2, s * n2, tuple(a * n2 for a in starts)) for L, s, starts in rot1
+    ) + tuple(
+        (L, s, tuple(b + a for b in range(0, n1 * n2, n2) for a in starts))
+        for L, s, starts in rot2
+    )
+    return _kron(H1, H2), rotations
+
+
+def _iterate_built(built, comp, companion, rounds):
+    """The built (matrix, rotations) pair of a base after the given number
+    of extension rounds (the rounds of an Iterate recipe), each
+    H -> design_to_mh(_direct_sum(_core(normalize(H)), comp)), with the
+    companion incidence matrix comp, whose rotations are companion.
+
+    normalize XORs every row with row 0 and complements the rows with a
+    -1 in column 0, so a rotation of H that fixes column 0 and row 0 is
+    one of the normalized matrix too; it acts on the core one column
+    lower.  In the direct sum each block's rotations fix the other block's
+    rows, whose part there is all ones, and 2D - J keeps them all, so the
+    companion's are moved past the core's n - 1 columns.
+
+    Each rotation is followed as a unit, in stored columns: column c after
+    i rounds is stored as c + i, so a unit stays put while the core drops
+    column 0.  A round drops the units that touch column 0 or move row 0
+    (_keeps), looked at only when row 0 changes sign inside a block or a
+    block reaches column 0.  Rows of one round are constant on the other
+    rounds' companion blocks, so the units lost are mostly those of the
+    rounds whose rows are used up as row 0.  At the end the units with the
+    same (L, s), which act on disjoint blocks, are merged into one.
+    """
+    mat, units = built[0], list(built[1])
+    inner = _inner_columns(units)
+    comp_inner = _inner_columns(companion)
+    for i in range(rounds):
+        row0 = mat.rows[0]
+        if ((row0 ^ row0 >> 1) << i | 1 << i) & inner:
+            units = [u for u in units if _keeps(u, i, mat)]
+            inner = _inner_columns(units)
+        shift = mat.n + i  # past the core's n - 1 columns, after i + 1 rounds
+        units += [(L, s, tuple(a + shift for a in starts)) for L, s, starts in companion]
+        inner |= comp_inner << shift
+        mat = design_to_mh(_direct_sum(_core(normalize(mat)), comp))
+    merged = {}
+    for L, s, starts in units:
+        merged.setdefault((L, s), []).extend(a - rounds for a in starts)
+    return mat, tuple((L, s, tuple(starts)) for (L, s), starts in merged.items())
+
+
+def _inner_columns(rotations):
+    """Bit j set for the columns j, j + 1 that lie in one block of one of
+    the rotations."""
+    mask = 0
+    for L, _, starts in rotations:
+        for a in starts:
+            mask |= ((1 << (L - 1)) - 1) << a
+    return mask
+
+
+def _keeps(unit, i, H):
+    """Does the rotation unit, whose columns are stored i places up, fix
+    column 0 and row 0 of H?"""
+    L, s, starts = unit
+    starts = [a - i for a in starts]
+    return min(starts) >= 1 and _rotation((L, s, starts), H.n)(H.rows[0]) == H.rows[0]
 
 
 def core_to_design(H, m):

@@ -462,9 +462,9 @@ def test_certificate_verified_once(capsys, monkeypatch):
     real = matrices.verify_mh
     orders = []
 
-    def counting(H, m):
+    def counting(H, m, *rotations):
         orders.append(H.n)
-        return real(H, m)
+        return real(H, m, *rotations)
 
     for mod in (matrices, constructions, existence, search, cli):
         if hasattr(mod, "verify_mh"):

@@ -45,12 +45,14 @@ from modhadamard import (
 )
 from modhadamard.constructions import (
     _bordered,
-    _bordered_ok,
+    _build,
+    _core_rotations,
     _develop,
     _development_ok,
     _load_json,
     _nonzero_squares,
 )
+from modhadamard.matrices import _orbits, _rotation, _symmetries
 
 from conftest import SEED
 
@@ -187,9 +189,10 @@ def _swapped(rng, subset, v, full_check, generator_check):
 
 
 def test_generator_checks_match_the_full_checks():
-    # a developed seed is checked by row 0 (and row 1 of a bordered
-    # matrix) against the rest; verify_design and verify_mh, which check
-    # every pair, are the reference
+    # a developed seed is checked by row 0 against the rest, and the
+    # bordered Paley matrix by verify_mh with its core rotation, whose two
+    # orbits make that rows 0 and 1 against the rest; verify_design and
+    # verify_mh without rotations, which check every pair, are the reference
     rng = random.Random(SEED)
     table = _load_json("catalog.json")
     cases = []
@@ -218,13 +221,15 @@ def test_generator_checks_match_the_full_checks():
     assert len(primes) == 24
     for q in primes:
         H = paley_hadamard(q)
-        assert _bordered_ok(H) is True
+        assert verify_mh(H, 0, _core_rotations(q + 1)).verdict is True
         assert verify_mh(H, 0).verdict is True
         if q > 3:
             _swapped(
                 rng, _nonzero_squares(q), q,
                 lambda S: verify_mh(_bordered(_develop((q,), S)), 0).verdict,
-                lambda S: _bordered_ok(_bordered(_develop((q,), S))),
+                lambda S: verify_mh(
+                    _bordered(_develop((q,), S)), 0, _core_rotations(q + 1)
+                ).verdict,
             )
 
 
@@ -454,6 +459,42 @@ def test_plan_mod5_base_cases():
         assert r is not None
         H = materialize(r)
         assert verify_mh(H, 5).verdict
+
+
+def test_proposed_rotations_are_symmetries():
+    # every column rotation a recipe proposes maps the rows of its matrix
+    # onto themselves, so materialize's Gram check keeps all of them
+    nodes = set()
+    pairs = [(n, m) for m in (0, 2, 3, 5, 7, 9, 11, 13) for n in range(3, 201)]
+    for n, m in pairs + [(300, 7), (452, 5), (790, 7), (880, 7), (1024, 0)]:
+        r = plan(n, m)
+        if r is None:
+            continue
+        mat, rotations = _build(r)
+        rows = frozenset(mat.rows)
+        for rotation in rotations:
+            turn = _rotation(rotation, mat.n)
+            assert turn is not None, (n, m, rotation)
+            assert rows.issuperset(map(turn, mat.rows)), (n, m, rotation)
+        if rotations:
+            nodes.add(r.node)
+    assert nodes == {
+        "CatalogDesign", "Double", "Iterate", "JMinus2I", "Kron", "PaleyHadamard",
+        "TwoCirculant",
+    }
+
+
+def test_construct_certificates_orbit_counts():
+    # the Gram check of the construct bench's certificates checks one row
+    # per orbit against the rows from its orbit onward; a builder change
+    # that drops a rotation adds orbits, and pairs, and fails here
+    for (n, m), most in {(880, 7): 2, (1024, 0): 2, (452, 5): 42, (790, 7): 74}.items():
+        mat, rotations = _build(plan(n, m))
+        distinct = list(dict.fromkeys(mat.rows))
+        orbits = _orbits(distinct, _symmetries(distinct, n, rotations))
+        assert len(orbits) <= most, (n, m, len(orbits))
+        if n != 790:
+            assert len(orbits) == most, (n, m, len(orbits))
 
 
 def test_predicted_order_matches_materialization():

@@ -32,7 +32,20 @@ from modhadamard import (
 )
 
 from modhadamard import matrices
-from modhadamard.matrices import _kron, _xor_translations, residue
+from modhadamard.constructions import (
+    _core_rotations,
+    _develop,
+    _develop_rotations,
+    _two_circulant,
+    _two_circulant_rotations,
+)
+from modhadamard.matrices import (
+    _iterate_built,
+    _kron,
+    _kron_built,
+    _xor_translations,
+    residue,
+)
 
 from conftest import SEED, flip_rows_cols, random_sign_matrix, verified_pool
 
@@ -198,6 +211,110 @@ def test_orbit_reduction_matches_unreduced_check():
         assert got == reference_gram(H, m), (H, m)
         seen.add((len(_translations_of(H)) > 1, got[3]))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _kept_maps(H, rotations):
+    """The symmetries verify_mh uses for H with the proposed rotations,
+    after checking that each maps the distinct rows onto themselves."""
+    distinct = list(dict.fromkeys(H.rows))
+    maps = matrices._symmetries(distinct, H.n, rotations)
+    for g in maps:
+        assert {g(r) for r in distinct} == set(distinct)
+    return maps
+
+
+def _random_bits(rng, n):
+    return {j for j in range(n) if rng.random() < 0.5}
+
+
+def _symmetric_piece(rng):
+    """A small matrix and rotations that are symmetries of it by
+    construction: J - 2I, a Paley matrix, a two-circulant or a developed
+    design, the last two from random first rows."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        n = rng.randint(3, 8)
+        return j_minus_2i(n), _core_rotations(n)
+    if kind == 1:
+        q = rng.choice((3, 7, 11))
+        return paley_hadamard(q), _core_rotations(q + 1)
+    if kind == 2:
+        b = rng.randint(2, 6)
+        H = _two_circulant(b, _random_bits(rng, b), _random_bits(rng, b))
+        return H, _two_circulant_rotations(b)
+    mods = rng.choice([(5,), (7,), (2, 3), (3, 2), (2, 2), (2, 2, 2), (4, 2)])
+    D = _develop(mods, _random_bits(rng, math.prod(mods)))
+    return design_to_mh(D), _develop_rotations(mods)
+
+
+def _wrong_rotations(rng, n, rotations):
+    """Proposals that are mostly no symmetry: a valid one with its blocks
+    one column off or a different shift, or a random block."""
+    out = []
+    for L, s, starts in rotations:
+        step = rng.choice((-1, 1))
+        if all(0 <= a + step and a + step + L <= n for a in starts):
+            out.append((L, s, tuple(a + step for a in starts)))
+        if L > 2:
+            out.append((L, s % (L - 1) + 1, starts))
+    if n >= 3:
+        L = rng.randint(2, n)
+        out.append((L, rng.randint(1, L - 1), (rng.randint(0, n - L),)))
+    return out
+
+
+def test_orbit_reduction_with_rotations_matches_unreduced_check():
+    # verify_mh with proposed column rotations (pruning on) against
+    # reference_gram (pruning off).  The rotations are built with the
+    # pieces (seeds of each kind) and lifted through Kronecker products on
+    # either side, Double and rounds of Iterate, as _build does; wrong
+    # proposals are mixed in, and a flipped entry or repeated rows break
+    # some of the right ones.  Every map the check uses must permute the
+    # distinct rows.
+    rng = random.Random(SEED)
+    seen = set()
+    dropped = 0
+    for _ in range(1500):
+        H, rotations = _symmetric_piece(rng)
+        for _ in range(rng.randint(0, 2)):
+            step = rng.randrange(3)
+            if step == 0:
+                other = _symmetric_piece(rng)
+                if other[0].n * H.n <= 48:
+                    pieces = [(H, rotations), other]
+                    rng.shuffle(pieces)
+                    H, rotations = _kron_built(*pieces)
+            elif step == 1 and 2 * H.n <= 48:
+                H, rotations = _kron_built((H, rotations), (F2, ()))
+            elif step == 2:
+                mods = rng.choice([(3,), (5,), (2, 2), (7,)])
+                D = _develop(mods, _random_bits(rng, math.prod(mods)))
+                rounds = rng.randint(1, 3)
+                if H.n + rounds * (D.v - 1) <= 48:
+                    H, rotations = _iterate_built(
+                        (H, rotations), D, _develop_rotations(mods), rounds
+                    )
+        if rng.random() < 0.5:
+            rotations = list(rotations) + _wrong_rotations(rng, H.n, rotations)
+            rng.shuffle(rotations)
+        rows = list(H.rows)
+        rng.shuffle(rows)
+        if rng.random() < 0.2:
+            rows[rng.randrange(H.n)] = rows[rng.randrange(H.n)]
+        i = rng.randrange(H.n)
+        # one flipped entry changes every inner product of its row by 2;
+        # two in one row change some by 4 and leave the others
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            rows[i] ^= 1 << rng.randrange(H.n)
+        H = SignMatrix(H.n, tuple(rows))
+        m = rng.choice(MODULI)
+        got = gram_fields(verify_mh(H, m, rotations))
+        assert got == reference_gram(H, m), (H, m, rotations)
+        kept = len(_kept_maps(H, rotations)) - len(_kept_maps(H, ()))
+        dropped += len(rotations) - kept
+        seen.add((kept > 0, got[3]))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    assert dropped > 100
 
 
 def test_translations_of_double_chains():
