@@ -401,7 +401,7 @@ def find_difference_set(group, k, lam):
     # every pairwise difference landed without exceeding lam and their
     # total is lam (v - 1), so each difference count is exactly lam
     mat = _develop(mods, chosen)
-    if not verify_design(mat, DesignParams(v, k, lam, 0)):
+    if not _development_ok(mat, DesignParams(v, k, lam, 0)):
         raise RuntimeError("difference set development failed verification")
     if len(mods) == 1:
         subset = tuple(elements[i][0] for i in chosen)

@@ -223,68 +223,42 @@ def _rotation(rotation, n):
     return lambda r: (r & low) << s | (r & high) >> back | r & keep
 
 
-def _xor_translations(rows):
-    """A group T of XOR translations of the distinct rows: t in T maps the
-    row set onto itself (r ^ t is a row for every row r).  Returned as a
-    list, 0 first; group[2**i] is the i-th translation accepted, so those
-    generate it.
-
-    The candidates are t = rows[0] ^ rows[j] for j = 1, 2, 4, ...: in the
-    row order of _kron, with no repeated rows, a Kronecker factor H2 on
-    the right at any depth is found this way (|T| = 2^levels for a Double
-    chain).  A candidate already in T adds nothing; T is the span of the
-    accepted ones.
-    """
-    present = frozenset(rows)
-    group = [0]
-    j = 1
-    while j < len(rows):
-        t = rows[0] ^ rows[j]
-        if t not in group and present.issuperset(map(xor, repeat(t), rows)):
-            group += [g ^ t for g in group]
-        j *= 2
-    return group
-
-
-def _symmetries(rows, n, rotations):
-    """Maps of the distinct rows onto themselves that keep the popcount of
-    u ^ v for every two rows u, v, each a function of a row: the generators
-    of _xor_translations(rows), as (u ^ t) ^ (v ^ t) = u ^ v, and each
-    proposed rotation (see _rotation) that maps every row to a row.  A
-    column permutation moves the bits of u ^ v without changing their
-    number, and it is injective, so one that maps the finite row set into
-    itself permutes it.  A proposal that fails is dropped, never trusted.
-    """
-    group = _xor_translations(rows)
-    maps = [group[1 << i].__xor__ for i in range(len(group).bit_length() - 1)]
-    present = frozenset(rows)
+def _permutations(rows, n, rotations):
+    """Each proposed rotation (see _rotation) that maps every distinct row
+    to a row, as the list of the indices of the rows' images.  A proposal
+    is applied once to each row; one with an image that is no row is
+    dropped, never trusted.  A column permutation is injective, so one
+    that maps the rows into themselves permutes them."""
+    index = {r: i for i, r in enumerate(rows)}
+    perms = []
     for rotation in rotations:
         turn = _rotation(rotation, n)
-        if turn is not None and present.issuperset(map(turn, rows)):
-            maps.append(turn)
-    return maps
+        if turn is not None:
+            perm = list(map(index.get, map(turn, rows)))
+            if None not in perm:
+                perms.append(perm)
+    return perms
 
 
-def _orbits(rows, maps):
-    """The distinct rows split into the orbits of the group that the maps
-    generate, each a list that starts with its first row in the given
-    order, largest orbits first and otherwise in the order of their first
-    rows.  An orbit is the rows reached from its first one by the maps, as
-    each map permutes the rows.  The rows are popped from a dict of
-    themselves, so none is copied."""
-    left = dict(zip(rows, rows))
+def _orbits(rows, perms):
+    """The distinct rows split into the orbits of the group that the
+    permutations of their indices generate, each a list that starts with
+    its first row in the given order, largest orbits first and otherwise
+    in the order of their first rows.  An orbit is the rows reached from
+    its first one by the permutations."""
+    seen = [False] * len(rows)
     out = []
-    for r in rows:
-        if r in left:
-            orbit = [left.pop(r)]
+    for i in range(len(rows)):
+        if not seen[i]:
+            seen[i] = True
+            orbit = [i]
             for x in orbit:
-                if not left:
-                    break
-                for g in maps:
-                    y = g(x)
-                    if y in left:
-                        orbit.append(left.pop(y))
-            out.append(orbit)
+                for p in perms:
+                    y = p[x]
+                    if not seen[y]:
+                        seen[y] = True
+                        orbit.append(y)
+            out.append([rows[j] for j in orbit])
     out.sort(key=len, reverse=True)
     return out
 
@@ -301,18 +275,17 @@ def verify_mh(H, m, rotations=()):
     vanishes, and the check stops at the first failing pair.
 
     One pair per orbit of a group G of symmetries is enough: G is generated
-    by the XOR translations that _xor_translations finds and by those of
-    the proposed column rotations (L, s, starts), see _rotation, that map
-    every distinct row to a row; each is checked here, none is trusted.
-    Every g in G permutes the d distinct rows and keeps the popcount of
-    u ^ v (see _symmetries), so a pair and its image under g have the same
-    inner product.  The rows are split into G-orbits, largest first (the
-    fewest pairs), and each orbit's first row x is checked against every
-    row from its own orbit onward.  If u is in orbit A with first row x and
-    g(u) = x, then (x, g(v)) is such a checked pair (take A to be the
-    earlier of the orbits of u and v) with the popcount of u ^ v.  With no
-    rotation kept and no translation found, that is every pair of distinct
-    rows.
+    by those of the proposed column rotations (L, s, starts), see
+    _rotation, that map every distinct row to a row; each is checked here,
+    none is trusted (_permutations).  Every g in G permutes the d distinct
+    rows and, as a column permutation, keeps the popcount of u ^ v, so a
+    pair and its image under g have the same inner product.  The rows are
+    split into G-orbits, largest first (the fewest pairs), and each orbit's
+    first row x is checked against every row from its own orbit onward.
+    If u is in orbit A with first row x and g(u) = x, then (x, g(v)) is
+    such a checked pair (take A to be the earlier of the orbits of u and
+    v) with the popcount of u ^ v.  With no rotation kept, that is every
+    pair of distinct rows.
     """
     if m < 0 or m == 1:
         raise ValueError("modulus must be 0 (exact) or >= 2")
@@ -322,7 +295,7 @@ def verify_mh(H, m, rotations=()):
     allowed = _orthogonal_popcounts(n, m)
     passed = len(distinct) == n or 0 in allowed
     if passed:
-        orbits = _orbits(distinct, _symmetries(distinct, n, rotations))
+        orbits = _orbits(distinct, _permutations(distinct, n, rotations))
         rows = [r for orbit in orbits for r in orbit]
         starts = accumulate(map(len, orbits), initial=1)
         passed = _every_pair([o[0] for o in orbits], rows, starts, xor, allowed)
@@ -445,6 +418,13 @@ def _iterate_built(built, comp, companion, rounds):
     rows, whose part there is all ones, and 2D - J keeps them all, so the
     companion's are moved past the core's n - 1 columns.
 
+    A round is one pass over the rows, and one SignMatrix is built at the
+    end.  With t = r ^ row0, normalize and _core make row r (row 0 left
+    out) the core row t >> 1, complemented on the core's n - 1 columns
+    unless t & 1; 2D - J complements it once more and turns the direct
+    sum's ones on the companion's columns into zeros.  Companion row d
+    becomes its complement, moved past the core's n - 1 columns.
+
     Each rotation is followed as a unit, in stored columns: column c after
     i rounds is stored as c + i, so a unit stays put while the core drops
     column 0.  A round drops the units that touch column 0 or move row 0
@@ -455,21 +435,27 @@ def _iterate_built(built, comp, companion, rounds):
     same (L, s), which act on disjoint blocks, are merged into one.
     """
     mat, units = built[0], list(built[1])
+    n, rows, v = mat.n, mat.rows, comp.v
     inner = _inner_columns(units)
     comp_inner = _inner_columns(companion)
+    flipped = [d ^ ((1 << v) - 1) for d in comp.rows]
     for i in range(rounds):
-        row0 = mat.rows[0]
+        row0 = rows[0]
         if ((row0 ^ row0 >> 1) << i | 1 << i) & inner:
-            units = [u for u in units if _keeps(u, i, mat)]
+            units = [u for u in units if _keeps(u, i, n, row0)]
             inner = _inner_columns(units)
-        shift = mat.n + i  # past the core's n - 1 columns, after i + 1 rounds
+        shift = n + i  # past the core's n - 1 columns, after i + 1 rounds
         units += [(L, s, tuple(a + shift for a in starts)) for L, s, starts in companion]
         inner |= comp_inner << shift
-        mat = design_to_mh(_direct_sum(_core(normalize(mat)), comp))
+        core = (1 << (n - 1)) - 1
+        rows = [t >> 1 ^ core if t & 1 else t >> 1 for t in map(row0.__xor__, rows[1:])]
+        rows += [d << (n - 1) for d in flipped]
+        n += v - 1
     merged = {}
     for L, s, starts in units:
         merged.setdefault((L, s), []).extend(a - rounds for a in starts)
-    return mat, tuple((L, s, tuple(starts)) for (L, s), starts in merged.items())
+    rotations = tuple((L, s, tuple(starts)) for (L, s), starts in merged.items())
+    return SignMatrix(n, tuple(rows)), rotations
 
 
 def _inner_columns(rotations):
@@ -482,12 +468,12 @@ def _inner_columns(rotations):
     return mask
 
 
-def _keeps(unit, i, H):
+def _keeps(unit, i, n, row0):
     """Does the rotation unit, whose columns are stored i places up, fix
-    column 0 and row 0 of H?"""
+    column 0 and row 0 of a matrix of order n whose row 0 is row0?"""
     L, s, starts = unit
     starts = [a - i for a in starts]
-    return min(starts) >= 1 and _rotation((L, s, starts), H.n)(H.rows[0]) == H.rows[0]
+    return min(starts) >= 1 and _rotation((L, s, starts), n)(row0) == row0
 
 
 def core_to_design(H, m):

@@ -52,7 +52,8 @@ from modhadamard.constructions import (
     _load_json,
     _nonzero_squares,
 )
-from modhadamard.matrices import _orbits, _rotation, _symmetries
+from modhadamard import matrices
+from modhadamard.matrices import _orbits, _permutations, _rotation
 
 from conftest import SEED
 
@@ -488,13 +489,49 @@ def test_construct_certificates_orbit_counts():
     # the Gram check of the construct bench's certificates checks one row
     # per orbit against the rows from its orbit onward; a builder change
     # that drops a rotation adds orbits, and pairs, and fails here
-    for (n, m), most in {(880, 7): 2, (1024, 0): 2, (452, 5): 42, (790, 7): 74}.items():
+    for (n, m), want in {(880, 7): 4, (1024, 0): 16, (452, 5): 42, (790, 7): 74}.items():
         mat, rotations = _build(plan(n, m))
         distinct = list(dict.fromkeys(mat.rows))
-        orbits = _orbits(distinct, _symmetries(distinct, n, rotations))
-        assert len(orbits) <= most, (n, m, len(orbits))
-        if n != 790:
-            assert len(orbits) == most, (n, m, len(orbits))
+        orbits = _orbits(distinct, _permutations(distinct, n, rotations))
+        assert len(orbits) == want, (n, m, len(orbits))
+
+
+def test_no_proposals_checks_every_pair(monkeypatch):
+    # the symmetries come only from the proposed rotations: with none, every
+    # pair of distinct rows is checked, also for a Double chain, whose rows
+    # an XOR translation of its H2 factors maps onto themselves
+    real = matrices._every_pair
+    checked = []
+
+    def counting(firsts, rows, starts, op, allowed):
+        starts = list(starts)[: len(firsts)]
+        checked.append(sum(len(rows) - s for s in starts))
+        return real(firsts, rows, starts, op, allowed)
+
+    mat = materialize(plan(1024, 0))
+    distinct = list(dict.fromkeys(mat.rows))
+    assert len(distinct) == 1024
+    assert _permutations(distinct, mat.n, ()) == []
+    monkeypatch.setattr(matrices, "_every_pair", counting)
+    assert verify_mh(mat, 0).verdict
+    assert checked == [1024 * 1023 // 2]
+
+
+def test_built_rows_digests():
+    # sha256 of the packed rows of the construct certificates and of the
+    # 124-round Iterate at (1252, 5); a builder change that moves a row or
+    # changes a bit fails here
+    want = {
+        (452, 5): "4bfc8dbcefa74f920becf94a7d02413daff2268315a6a0f98fee2624091692f0",
+        (1024, 0): "3754cb0803b525775b56429116b476b2db22516ac7860f2937e2f5c50494c105",
+        (880, 7): "b58783ebca9c9781f9ab5babfabef7cfb198d9c33b0d57bf7b1f21003258d140",
+        (790, 7): "a1e030459084b21e93328823b8b702850acdbbe4ecb12326e7ae964733c94263",
+        (1252, 5): "4187713aa4eb7f397e8b58943e0b482759003f9fea302da485dcfe3054e83ab8",
+    }
+    for (n, m), digest in want.items():
+        rows = materialize(plan(n, m)).rows
+        packed = b"".join(r.to_bytes((n + 7) // 8, "little") for r in rows)
+        assert hashlib.sha256(packed).hexdigest() == digest, (n, m)
 
 
 def test_predicted_order_matches_materialization():

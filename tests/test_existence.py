@@ -157,6 +157,31 @@ def test_delta_test_never_overrides_a_construction():
     assert verify_mh(H, 5).verdict
 
 
+# J - 2N for the incidence matrix N of the Singer difference sets of PG(2, 5)
+# and PG(2, 7): every off-diagonal inner product is v - 4(k - lam) = m
+SINGER_MH = {
+    (31, 11): (0, 1, 3, 8, 12, 18),
+    (57, 29): (0, 1, 3, 13, 32, 36, 43, 52),
+}
+
+
+def test_singer_matrices_pass_the_gram_check():
+    for (v, m), subset in SINGER_MH.items():
+        N = constructions._develop((v,), subset)
+        assert verify_mh(matrices.SignMatrix(v, N.rows), m).verdict, (v, m)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the SmallOddDelta gate refutes the Singer MH(31, 11)"
+    " and MH(57, 29)",
+)
+@pytest.mark.parametrize("v, m", sorted(SINGER_MH))
+def test_decide_does_not_refute_singer_matrices(v, m):
+    assert decide(v, m).status != "NotExists"
+
+
 def test_gate_walk_is_decides_order():
     # decide reports the first step of the walk that finds something
     for m in range(2, 31):

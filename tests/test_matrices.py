@@ -43,7 +43,6 @@ from modhadamard.matrices import (
     _iterate_built,
     _kron,
     _kron_built,
-    _xor_translations,
     residue,
 )
 
@@ -172,22 +171,11 @@ def test_verify_mh_all_ones():
                 assert report.offdiag_residues == {residue(n, m): pairs}
 
 
-def _translations_of(H):
-    """The translation group verify_mh finds in H's rows, after checking
-    that each of its elements maps the distinct rows onto themselves."""
-    distinct = list(dict.fromkeys(H.rows))
-    group = _xor_translations(distinct)
-    assert group[0] == 0 and len(set(group)) == len(group)
-    for t in group:
-        assert {r ^ t for r in distinct} == set(distinct)
-    return group
-
-
 def test_orbit_reduction_matches_unreduced_check():
-    # verify_mh checks one pair per orbit of the XOR translations it finds
-    # (pruning on); reference_gram checks every pair (pruning off).  The
-    # bases are random, with repeated rows, or J - 2I, which passes at the
-    # divisors of n - 4; H2 goes on either side, 0 to 3 times.
+    # verify_mh with no proposals checks every pair of distinct rows once;
+    # reference_gram checks every pair of rows.  The bases are random, with
+    # repeated rows, or J - 2I, which passes at the divisors of n - 4; H2
+    # goes on either side, 0 to 3 times.
     rng = random.Random(SEED)
     seen = set()
     for _ in range(1500):
@@ -209,18 +197,19 @@ def test_orbit_reduction_matches_unreduced_check():
         m = rng.choice(MODULI)
         got = gram_fields(verify_mh(H, m))
         assert got == reference_gram(H, m), (H, m)
-        seen.add((len(_translations_of(H)) > 1, got[3]))
-    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+        seen.add(got[3])
+    assert seen == {False, True}
 
 
 def _kept_maps(H, rotations):
-    """The symmetries verify_mh uses for H with the proposed rotations,
-    after checking that each maps the distinct rows onto themselves."""
+    """The permutations of H's distinct rows that verify_mh uses with the
+    proposed rotations, after checking that each is a permutation of their
+    indices."""
     distinct = list(dict.fromkeys(H.rows))
-    maps = matrices._symmetries(distinct, H.n, rotations)
-    for g in maps:
-        assert {g(r) for r in distinct} == set(distinct)
-    return maps
+    perms = matrices._permutations(distinct, H.n, rotations)
+    for p in perms:
+        assert sorted(p) == list(range(len(distinct)))
+    return perms
 
 
 def _random_bits(rng, n):
@@ -310,18 +299,11 @@ def test_orbit_reduction_with_rotations_matches_unreduced_check():
         m = rng.choice(MODULI)
         got = gram_fields(verify_mh(H, m, rotations))
         assert got == reference_gram(H, m), (H, m, rotations)
-        kept = len(_kept_maps(H, rotations)) - len(_kept_maps(H, ()))
+        kept = len(_kept_maps(H, rotations))
         dropped += len(rotations) - kept
         seen.add((kept > 0, got[3]))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
     assert dropped > 100
-
-
-def test_translations_of_double_chains():
-    # plan(1024, 0) doubles three times, plan(880, 7) once
-    assert plan(1024, 0).node == plan(880, 7).node == "Double"
-    assert len(_translations_of(materialize(plan(1024, 0)))) == 8
-    assert len(_translations_of(materialize(plan(880, 7)))) == 2
 
 
 def test_histogram_built_on_demand(monkeypatch):
