@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from . import search as search_mod
 from .constructions import (
@@ -369,6 +370,7 @@ def _cmd_design_params(args):
     return EXIT_EXISTS
 
 
+@cache  # built once per process; parse_args fills a new namespace per call
 def _build_parser():
     parser = _Parser(prog="modhadamard", description=__doc__)
     common = _Parser(add_help=False)

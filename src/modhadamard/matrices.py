@@ -61,10 +61,8 @@ def _check_rows(order, rows):
         raise ValueError("order must be positive")
     if len(rows) != order:
         raise ValueError("row count != order")
-    mask = (1 << order) - 1
-    for r in rows:
-        if not 0 <= r <= mask:
-            raise ValueError("row bits out of range")
+    if min(rows) < 0 or max(rows) >> order:
+        raise ValueError("row bits out of range")
 
 
 def _pack_entries(entries, set_entry, clear_entry, message):
@@ -180,8 +178,15 @@ class GramReport:
 def _orthogonal_popcounts(n, m):
     """The popcounts c in 0..n of the xor of two sign rows of length n whose
     inner product n - 2c is 0 at the modulus; two copies of one row have
-    c = 0."""
-    return frozenset(c for c in range(n + 1) if residue(n - 2 * c, m) == 0)
+    c = 0.  They form one progression: 2c = n exactly (m = 0), c = n / 2
+    mod m for odd m, and c = n / 2 mod m / 2 for even m and n."""
+    if m % 2:
+        return frozenset(range(n * (m + 1) // 2 % m, n + 1, m))
+    if n % 2:
+        return frozenset()
+    if m == 0:
+        return frozenset([n // 2])
+    return frozenset(range(n // 2 % (m // 2), n + 1, m // 2))
 
 
 def _every_pair(firsts, rows, starts, op, allowed):
@@ -600,20 +605,23 @@ def parse_matrix_text(text):
 
 def _read_rows(lines, n, alphabet):
     """Bit-packed rows from text rows over a two-letter alphabet; the second
-    letter is a set bit, column 0 comes first."""
+    letter is a set bit, column 0 comes first.  Each distinct line is
+    checked and converted once, in order of first appearance, so an error
+    names the first offending row."""
     if len(lines) != n:
         raise ValueError("expected %d rows, got %d" % (n, len(lines)))
-    clear, set_ = alphabet
-    digits = str.maketrans(alphabet, "01")
-    out = []
-    for ln in lines:
-        ln = "".join(ln.split())
-        if len(ln) != n:
-            raise ValueError("ragged row: %r" % ln)
-        if ln.count(clear) + ln.count(set_) != n:
-            raise ValueError("bad character in row %r" % ln)
-        out.append(int(ln[::-1].translate(digits), 2))
-    return tuple(out)
+    letters = alphabet.encode()
+    digits = bytes.maketrans(letters, b"01")
+    bits = dict.fromkeys(lines)
+    for ln in bits:
+        row = "".join(ln.split())
+        if len(row) != n:
+            raise ValueError("ragged row: %r" % row)
+        raw = row.encode("ascii", "replace")  # any other letter is bad
+        if raw.translate(None, letters):
+            raise ValueError("bad character in row %r" % row)
+        bits[ln] = int(raw[::-1].translate(digits), 2)
+    return tuple(map(bits.__getitem__, lines))
 
 
 _SIGN_DIGITS = str.maketrans("01", "+-")
@@ -621,11 +629,13 @@ _SIGN_DIGITS = str.maketrans("01", "+-")
 
 def format_rows(M):
     """Rows as text, column 0 first: +- for a SignMatrix, 01 for an
-    IncidenceMatrix.  A set bit prints as '-' or '1'."""
+    IncidenceMatrix.  A set bit prints as '-' or '1'.  Each distinct row
+    is formatted once."""
     sign = isinstance(M, SignMatrix)
     spec = "0%db" % (M.n if sign else M.v)
-    rows = [format(r, spec)[::-1] for r in M.rows]
-    return [r.translate(_SIGN_DIGITS) for r in rows] if sign else rows
+    digits = _SIGN_DIGITS if sign else {}
+    text = {r: format(r, spec)[::-1].translate(digits) for r in set(M.rows)}
+    return list(map(text.__getitem__, M.rows))
 
 
 def format_matrix_text(M, m=None, params=None):

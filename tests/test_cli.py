@@ -152,6 +152,38 @@ def test_verify_design_file(capsys, tmp_path):
     }
 
 
+def test_cached_parser_carries_no_state_between_calls(capsys, tmp_path):
+    # one parser serves every call in a process: an optional positional or a
+    # subcommand default from one call must not reach the next
+    assert cli._build_parser() is cli._build_parser()
+    code, out, _ = run_cli(capsys, "construct", "1001", "7")
+    assert code == 0
+    assert out == "1001 7\n" + ("+" * 1001 + "\n") * 1001
+    path = tmp_path / "h1001.txt"
+    path.write_text(out)
+    sign = str(path)
+    code, out, _ = run_cli(capsys, "verify", sign, "11", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"kind": "matrix", "m": 11, "n": 1001, "verified": True}
+    code, out, _ = run_cli(capsys, "verify", sign, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"kind": "matrix", "m": 7, "n": 1001, "verified": True}
+    code, out, err = run_cli(capsys, "verify-design", sign)
+    assert code == 11 and out == ""
+    assert "input is not a design file" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify"])
+    assert exc.value.code == 10
+    assert "the following arguments are required: file" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "decide", "57", "7", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, VERDICT_SCHEMA)
+    assert (doc["n"], doc["m"], doc["status"]) == (57, 7, "Exists")
+    code, out, _ = run_cli(capsys, "verify", sign)
+    assert (code, out) == (0, "matrix: PASS\n")
+
+
 def test_search_command(capsys):
     code, out, _ = run_cli(capsys, "search", "11", "5", "--mode", "restricted")
     assert code == 1

@@ -105,6 +105,10 @@ def test_incidence_matrix_entries():
         IncidenceMatrix.from_entries([[1, 0], [1]])
     with pytest.raises(ValueError, match="row bits out of range"):
         IncidenceMatrix(2, (0b100, 0))
+    # a bad row in the middle, above or below, is found too
+    for rows in ((0, 0b1000, 1), (0, -1, 1)):
+        with pytest.raises(ValueError, match="row bits out of range"):
+            SignMatrix(3, rows)
 
 
 def test_verify_mh_examples():
@@ -625,3 +629,54 @@ def test_parse_tolerates_whitespace():
     M, m = parse_matrix_text("  2   3 \n\n + + \n +-\n")
     assert M.n == 2
     assert m == 3
+
+
+def test_orthogonal_popcounts_match_brute_force():
+    for m in [0] + list(range(2, 41)):
+        for n in range(201):
+            brute = {c for c in range(n + 1) if residue(n - 2 * c, m) == 0}
+            assert matrices._orthogonal_popcounts(n, m) == brute, (n, m)
+
+
+def _formatted_row_by_row(M):
+    """The reference for format_rows: every row formatted on its own."""
+    n = M.n if isinstance(M, SignMatrix) else M.v
+    rows = [format(r, "0%db" % n)[::-1] for r in M.rows]
+    if isinstance(M, SignMatrix):
+        rows = [r.translate(str.maketrans("01", "+-")) for r in rows]
+    return rows
+
+
+def test_round_trip_with_repeated_rows():
+    J = all_ones(1001)
+    text = format_matrix_text(J, 7)
+    assert text == "1001 7\n" + ("+" * 1001 + "\n") * 1001
+    assert parse_matrix_text(text) == (J, 7)
+    rng = random.Random(SEED)
+    for n in (2, 5, 17, 64):
+        pool = [rng.getrandbits(n) for _ in range(3)]
+        H = SignMatrix(n, tuple(rng.choice(pool) for _ in range(n)))
+        assert len(set(H.rows)) < n
+        assert format_rows(H) == _formatted_row_by_row(H)
+        assert parse_matrix_text(format_matrix_text(H, 3)) == (H, 3)
+        D = IncidenceMatrix(n, H.rows)
+        params = DesignParams(n, 1, 0, 0)
+        assert format_rows(D) == _formatted_row_by_row(D)
+        assert parse_matrix_text(format_matrix_text(D, params=params)) == (D, params)
+
+
+def test_rows_differing_in_inner_whitespace_parse_to_one_row():
+    M, _ = parse_matrix_text("3 2\n+-+\n+ -+\n+  - \t+\n")
+    assert M.rows == (0b010,) * 3
+
+
+def test_repeated_bad_row_reported_by_first_occurrence():
+    with pytest.raises(ValueError, match="bad character in row '\\+\\*\\+'"):
+        parse_matrix_text("3 2\n+*+\n+ *+\n+*+\n")
+    with pytest.raises(ValueError, match="ragged row: '\\+\\+'"):
+        parse_matrix_text("4 2\n++++\n++\n+-*+\n++\n")
+    with pytest.raises(ValueError, match="bad character in row '\\+-\\*\\+'"):
+        parse_matrix_text("4 2\n++++\n+-*+\n++\n+-*+\n")
+    # a letter outside ASCII is a bad character, named as written
+    with pytest.raises(ValueError, match="bad character in row '\\+\u00e9\\+'"):
+        parse_matrix_text("3 2\n+++\n+\u00e9+\n+\u00e9+\n")
