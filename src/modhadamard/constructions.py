@@ -649,38 +649,42 @@ def recipe_to_json(recipe):
     }
 
 
+# each node of recipe JSON: its numbers of args and children, and its
+# constructor, called with the args, the children's recipes and the object
+_FROM_JSON = {
+    "AllOnes": (1, 0, lambda a, c, obj: seed_all_ones(int(a[0]))),
+    "JMinus2I": (1, 0, lambda a, c, obj: seed_j_minus_2i(int(a[0]))),
+    "PaleyHadamard": (1, 0, lambda a, c, obj: seed_paley(int(a[0]))),
+    "PaleyDesign": (1, 0, lambda a, c, obj: seed_paley_design(int(a[0]))),
+    "CatalogDesign": (1, 0, lambda a, c, obj: seed_catalog(str(a[0]), kind=obj["kind"])),
+    "TwoCirculant": (1, 0, lambda a, c, obj: seed_two_circulant(str(a[0]))),
+    "ParamDesign": (3, 0, lambda a, c, obj: seed_param_design(*map(int, a))),
+    "Kron": (0, 2, lambda a, c, obj: kron(*c)),
+    "Double": (0, 1, lambda a, c, obj: double(*c)),
+    "Iterate": (1, 2, lambda a, c, obj: iterate(*c, int(a[0]), int(obj["modulus"]))),
+}
+
+
 def recipe_from_json(obj):
+    """The recipe of a recipe_to_json object, rebuilt by its constructors.
+    A missing key, an unknown node or a wrong number of args or children
+    raises ValueError, naming what is wrong."""
+    if not isinstance(obj, dict):
+        raise ValueError("recipe node must be a JSON object, got %r" % (obj,))
+    missing = [key for key in ("node", "kind", "order", "modulus") if key not in obj]
+    if missing:
+        raise ValueError("recipe node has no %s" % ", ".join(map(repr, missing)))
     node = obj["node"]
     kind = obj["kind"]
     args = obj.get("args", [])
     ch = obj.get("children", [])
-    if node == "AllOnes":
-        r = seed_all_ones(int(args[0]))
-    elif node == "JMinus2I":
-        r = seed_j_minus_2i(int(args[0]))
-    elif node == "PaleyHadamard":
-        r = seed_paley(int(args[0]))
-    elif node == "PaleyDesign":
-        r = seed_paley_design(int(args[0]))
-    elif node == "CatalogDesign":
-        r = seed_catalog(str(args[0]), kind=kind)
-    elif node == "TwoCirculant":
-        r = seed_two_circulant(str(args[0]))
-    elif node == "ParamDesign":
-        r = seed_param_design(int(args[0]), int(args[1]), int(args[2]))
-    elif node == "Kron":
-        r = kron(recipe_from_json(ch[0]), recipe_from_json(ch[1]))
-    elif node == "Double":
-        r = double(recipe_from_json(ch[0]))
-    elif node == "Iterate":
-        r = iterate(
-            recipe_from_json(ch[0]),
-            recipe_from_json(ch[1]),
-            int(args[0]),
-            int(obj["modulus"]),
-        )
-    else:
+    if node not in _FROM_JSON:
         raise ValueError("unknown recipe node %r" % node)
+    n_args, n_children, build = _FROM_JSON[node]
+    for what, want, got in (("args", n_args, args), ("children", n_children, ch)):
+        if len(got) != want:
+            raise ValueError("%s node needs %d %s, got %d" % (node, want, what, len(got)))
+    r = build(args, [recipe_from_json(c) for c in ch], obj)
     if r.kind != kind or r.order != int(obj["order"]) or r.modulus != int(obj["modulus"]):
         raise ValueError("stored kind/order/modulus disagree with the reconstruction")
     return r
@@ -750,8 +754,9 @@ def _build(recipe):
 
     Each seed proposes its group's rotations.  A Kronecker product turns
     the right factor's blocks inside each of its n1 blocks of n2 columns,
-    and the left factor's whole blocks of n2 columns.  Iterate carries
-    them through its rounds (_iterate_built).
+    and the left factor's whole blocks of n2 columns.  Iterate keeps those
+    that fix the rows and columns its rounds drop, in the order they
+    arrived (_iterate_built).
     """
     node = recipe.node
     if node == "AllOnes":

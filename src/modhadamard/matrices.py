@@ -416,13 +416,6 @@ def _iterate_built(built, comp, companion, rounds):
     H -> design_to_mh(_direct_sum(_core(normalize(H)), comp)), with the
     companion incidence matrix comp, whose rotations are companion.
 
-    normalize XORs every row with row 0 and complements the rows with a
-    -1 in column 0, so a rotation of H that fixes column 0 and row 0 is
-    one of the normalized matrix too; it acts on the core one column
-    lower.  In the direct sum each block's rotations fix the other block's
-    rows, whose part there is all ones, and 2D - J keeps them all, so the
-    companion's are moved past the core's n - 1 columns.
-
     A round is one pass over the rows, and one SignMatrix is built at the
     end.  With t = r ^ row0, normalize and _core make row r (row 0 left
     out) the core row t >> 1, complemented on the core's n - 1 columns
@@ -430,55 +423,45 @@ def _iterate_built(built, comp, companion, rounds):
     sum's ones on the companion's columns into zeros.  Companion row d
     becomes its complement, moved past the core's n - 1 columns.
 
-    Each rotation is followed as a unit, in stored columns: column c after
-    i rounds is stored as c + i, so a unit stays put while the core drops
-    column 0.  A round drops the units that touch column 0 or move row 0
-    (_keeps), looked at only when row 0 changes sign inside a block or a
-    block reaches column 0.  Rows of one round are constant on the other
-    rounds' companion blocks, so the units lost are mostly those of the
-    rounds whose rows are used up as row 0.  At the end the units with the
-    same (L, s), which act on disjoint blocks, are merged into one.
+    Rows and columns leave in the order they arrived: a round drops row 0
+    and column 0 and appends the companion's v of each.  With the base's
+    n places first and each round's v after them, the first `rounds`
+    places are gone and place c ends at c - rounds.  A rotation of one
+    piece, the base or round i's companion at place n + i v, permutes the
+    piece's rows and fixes the others: a companion's rows arrive constant
+    on the earlier columns, and the earlier rows are constant on its.  A
+    round XORs every row with row 0 and complements some on the core's
+    columns; if the rotation fixes row 0 and keeps off column 0, it
+    commutes with that and acts one column lower.  Row 0 of round j is the
+    row at place j, fixed unless it is the piece's own, and then fixed
+    exactly when it was on arrival.  So a rotation is kept when it touches
+    no place below `rounds` and fixes its piece's rows there; a companion
+    block still whole keeps all of its rotations.  Rotations with equal
+    (L, s), which act on disjoint blocks, are merged into one.
     """
-    mat, units = built[0], list(built[1])
-    n, rows, v = mat.n, mat.rows, comp.v
-    inner = _inner_columns(units)
-    comp_inner = _inner_columns(companion)
+    mat, v = built[0], comp.v
+    n, rows = mat.n, mat.rows
+    pieces = [(0, n, rows, built[1])]
+    pieces += [(n + i * v, v, comp.rows, companion) for i in range(rounds)]
+    merged = {}
+    for place, width, piece_rows, rotations in pieces:
+        used = piece_rows[: max(rounds - place, 0)]
+        for L, s, starts in rotations:
+            kept = place + min(starts) >= rounds
+            if kept and used:
+                turn = _rotation((L, s, starts), width)
+                kept = all(turn(r) == r for r in used)
+            if kept:
+                merged.setdefault((L, s), []).extend(a + place - rounds for a in starts)
     flipped = [d ^ ((1 << v) - 1) for d in comp.rows]
-    for i in range(rounds):
+    for _ in range(rounds):
         row0 = rows[0]
-        if ((row0 ^ row0 >> 1) << i | 1 << i) & inner:
-            units = [u for u in units if _keeps(u, i, n, row0)]
-            inner = _inner_columns(units)
-        shift = n + i  # past the core's n - 1 columns, after i + 1 rounds
-        units += [(L, s, tuple(a + shift for a in starts)) for L, s, starts in companion]
-        inner |= comp_inner << shift
         core = (1 << (n - 1)) - 1
         rows = [t >> 1 ^ core if t & 1 else t >> 1 for t in map(row0.__xor__, rows[1:])]
         rows += [d << (n - 1) for d in flipped]
         n += v - 1
-    merged = {}
-    for L, s, starts in units:
-        merged.setdefault((L, s), []).extend(a - rounds for a in starts)
     rotations = tuple((L, s, tuple(starts)) for (L, s), starts in merged.items())
     return SignMatrix(n, tuple(rows)), rotations
-
-
-def _inner_columns(rotations):
-    """Bit j set for the columns j, j + 1 that lie in one block of one of
-    the rotations."""
-    mask = 0
-    for L, _, starts in rotations:
-        for a in starts:
-            mask |= ((1 << (L - 1)) - 1) << a
-    return mask
-
-
-def _keeps(unit, i, n, row0):
-    """Does the rotation unit, whose columns are stored i places up, fix
-    column 0 and row 0 of a matrix of order n whose row 0 is row0?"""
-    L, s, starts = unit
-    starts = [a - i for a in starts]
-    return min(starts) >= 1 and _rotation((L, s, starts), n)(row0) == row0
 
 
 def core_to_design(H, m):
@@ -644,7 +627,8 @@ def format_matrix_text(M, m=None, params=None):
         if m is None:
             raise ValueError("sign matrix needs a modulus")
         head = "%d %d" % (M.n, m)
+    elif params is None:
+        raise ValueError("incidence matrix needs params")
     else:
-        p = params
-        head = "%d %d %d %d" % (p.v, p.k, p.lam, p.modulus)
+        head = "%d %d %d %d" % (params.v, params.k, params.lam, params.modulus)
     return "\n".join([head] + format_rows(M)) + "\n"

@@ -496,6 +496,28 @@ def test_construct_certificates_orbit_counts():
         assert len(orbits) == want, (n, m, len(orbits))
 
 
+def test_iterate_rotations_where_blocks_are_used_up():
+    # rows and columns leave in the order they arrived: after l rounds the
+    # biplane's rotations (16, 4) and (4, 1) stay on each companion block
+    # that starts at place 16 + 16 i >= l.  At l = 15 the base's rotation
+    # is gone and round 0's block sits one place down; at l = 17 round 0's
+    # block has lost its first place and round 1's comes first
+    base = double(double(seed_j_minus_2i(4)))
+    cases = {15: (1, 15, 16), 16: (0, 16, 16), 17: (15, 16, 31), 33: (15, 31, 46)}
+    for l, (first, blocks, want) in cases.items():
+        mat, rotations = _build(iterate(base, "biplane_16_6_2", l, modulus=5))
+        assert mat.n == 16 + 15 * l
+        assert sorted((L, s) for L, s, _ in rotations) == [(4, 1), (16, 4)]
+        assert {min(starts) for _, _, starts in rotations} == {first}, l
+        assert dict((L, len(starts)) for L, _, starts in rotations)[16] == blocks
+        distinct = list(dict.fromkeys(mat.rows))
+        perms = _permutations(distinct, mat.n, rotations)
+        assert len(perms) == 2, l
+        for p in perms:
+            assert sorted(p) == list(range(len(distinct)))
+        assert len(_orbits(distinct, perms)) == want, l
+
+
 def test_no_proposals_checks_every_pair(monkeypatch):
     # the symmetries come only from the proposed rotations: with none, every
     # pair of distinct rows is checked, also for a Double chain, whose rows
@@ -627,6 +649,27 @@ def test_recipe_json_keeps_the_kind():
     obj["kind"] = "design"
     with pytest.raises(ValueError):
         recipe_from_json(obj)
+
+
+def test_recipe_json_malformed_objects_raise_value_error():
+    # recipe files can come from outside the program: a missing key, an
+    # unknown node or a wrong number of args or children names what is wrong
+    b16 = double(double(seed_j_minus_2i(4)))
+    obj = recipe_to_json(iterate(b16, "biplane_16_6_2", 2, modulus=5))
+    assert recipe_from_json(obj).order == 46
+    bad = [
+        ({"node": "AllOnes"}, "has no 'kind', 'order', 'modulus'"),
+        (dict(obj, children=[]), "Iterate node needs 2 children, got 0"),
+        (dict(obj, children=obj["children"][:1]), "Iterate node needs 2 children, got 1"),
+        (dict(obj, args=[]), "Iterate node needs 1 args, got 0"),
+        (dict(obj, children=[obj["children"][0], 16]), "must be a JSON object"),
+        (dict(obj, children=[{"node": "Double"}] * 2), "has no 'kind'"),
+        (dict(recipe_to_json(seed_all_ones(6)), args=[]), "AllOnes node needs 1 args"),
+        (dict(obj, node="Triple"), "unknown recipe node 'Triple'"),
+    ]
+    for wrong, message in bad:
+        with pytest.raises(ValueError, match=message):
+            recipe_from_json(wrong)
 
 
 def test_recipe_json_big_orders_are_strings():

@@ -282,8 +282,11 @@ def test_orbit_reduction_with_rotations_matches_unreduced_check():
             elif step == 2:
                 mods = rng.choice([(3,), (5,), (2, 2), (7,)])
                 D = _develop(mods, _random_bits(rng, math.prod(mods)))
-                rounds = rng.randint(1, 3)
-                if H.n + rounds * (D.v - 1) <= 48:
+                # up to the base order and one companion block past it, so
+                # that companion rows and columns leave too; order <= 48
+                most = min(H.n + D.v, (48 - H.n) // (D.v - 1))
+                if most >= 1:
+                    rounds = rng.randint(1, most)
                     H, rotations = _iterate_built(
                         (H, rotations), D, _develop_rotations(mods), rounds
                     )
@@ -308,6 +311,20 @@ def test_orbit_reduction_with_rotations_matches_unreduced_check():
         seen.add((kept > 0, got[3]))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
     assert dropped > 100
+
+
+def test_iterate_keeps_a_rotation_that_fixes_the_rows_that_left():
+    # a rotation of the base stays only if it keeps off the columns that
+    # leave and fixes the rows that become row 0; companion blocks still
+    # whole keep theirs, at their place minus the rounds
+    H, rotation = paley_hadamard(7), _core_rotations(8)  # fixes row 0 only
+    D, companion = _develop((3,), {0}), _develop_rotations((3,))
+    assert _iterate_built((H, rotation), D, (), 1)[1] == ((7, 1, (0,)),)
+    assert _iterate_built((H, rotation), D, (), 2)[1] == ()
+    moved = SignMatrix(8, H.rows[1:] + H.rows[:1])
+    assert _iterate_built((moved, rotation), D, (), 1)[1] == ()
+    assert _iterate_built((H, ()), D, companion, 3)[1] == ((3, 1, (5, 8, 11)),)
+    assert _iterate_built((H, ()), D, companion, 9)[1] == ((3, 1, tuple(range(2, 24, 3))),)
 
 
 def test_histogram_built_on_demand(monkeypatch):
@@ -593,6 +610,12 @@ def test_parse_format_round_trip():
     M2, p2 = parse_matrix_text(text)
     assert M2.rows == D.rows
     assert (p2.v, p2.k, p2.lam, p2.modulus) == (7, 3, 1, 7)
+
+    # a header needs the modulus, or the parameters, for either kind
+    with pytest.raises(ValueError, match="sign matrix needs a modulus"):
+        format_matrix_text(H)
+    with pytest.raises(ValueError, match="incidence matrix needs params"):
+        format_matrix_text(D)
 
 
 def test_parse_format_round_trip_random():
