@@ -90,10 +90,8 @@ def _cmd_decide(args):
                 "  conjecture predicts: %s"
                 % ("exists" if v.conjecture_prediction else "does not exist")
             )
-        if v.certificate is not None and hasattr(v.certificate, "node"):
+        if v.certificate is not None:
             print("  recipe: %s" % json.dumps(recipe_to_json(v.certificate), sort_keys=True))
-        elif v.certificate is not None:
-            sys.stdout.write(format_matrix_text(v.certificate, args.m))
     return {"Exists": EXIT_EXISTS, "NotExists": EXIT_NOT_EXISTS}.get(
         v.status, EXIT_UNKNOWN
     )

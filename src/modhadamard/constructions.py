@@ -661,37 +661,51 @@ _FROM_JSON = {
     "ParamDesign": (3, 0, lambda a, c, obj: seed_param_design(*map(int, a))),
     "Kron": (0, 2, lambda a, c, obj: kron(*c)),
     "Double": (0, 1, lambda a, c, obj: double(*c)),
-    "Iterate": (1, 2, lambda a, c, obj: iterate(*c, int(a[0]), int(obj["modulus"]))),
+    "Iterate": (1, 2, lambda a, c, obj: iterate(*c, int(a[0]), obj["modulus"])),
 }
 
 
 def recipe_from_json(obj):
     """The recipe of a recipe_to_json object, rebuilt by its constructors.
-    A missing key, an unknown node or a wrong number of args or children
-    raises ValueError, naming what is wrong."""
+    A missing key, a value of the wrong JSON type (recipe.schema.json), an
+    unknown node or a wrong number of args or children raises ValueError,
+    naming what is wrong."""
     if not isinstance(obj, dict):
         raise ValueError("recipe node must be a JSON object, got %r" % (obj,))
     missing = [key for key in ("node", "kind", "order", "modulus") if key not in obj]
     if missing:
         raise ValueError("recipe node has no %s" % ", ".join(map(repr, missing)))
-    node = obj["node"]
-    kind = obj["kind"]
-    args = obj.get("args", [])
-    ch = obj.get("children", [])
-    if node not in _FROM_JSON:
-        raise ValueError("unknown recipe node %r" % node)
+    node, order, modulus = obj["node"], obj["order"], obj["modulus"]
+    args, ch = obj.get("args", []), obj.get("children", [])
+    if type(node) is not str or node not in _FROM_JSON:
+        raise ValueError("unknown recipe node %r" % (node,))
+    for key, ok in (
+        ("order", type(order) is str and order.isascii() and order.isdigit()),
+        ("modulus", type(modulus) is int and modulus >= 0),
+        ("args", type(args) is list and all(type(a) in (int, str) for a in args)),
+        ("children", type(ch) is list),
+    ):
+        if not ok:
+            bad = (node, key, obj.get(key))
+            raise ValueError("%s node: %s %r does not match recipe.schema.json" % bad)
     n_args, n_children, build = _FROM_JSON[node]
     for what, want, got in (("args", n_args, args), ("children", n_children, ch)):
         if len(got) != want:
             raise ValueError("%s node needs %d %s, got %d" % (node, want, what, len(got)))
     r = build(args, [recipe_from_json(c) for c in ch], obj)
-    if r.kind != kind or r.order != int(obj["order"]) or r.modulus != int(obj["modulus"]):
+    if r.kind != obj["kind"] or r.order != int(order) or r.modulus != modulus:
         raise ValueError("stored kind/order/modulus disagree with the reconstruction")
     return r
 
 
 # ---------------------------------------------------------------------------
 # materialization
+
+
+def _check_cap(order, size_cap=None):
+    cap = DEFAULT_MATERIALIZE_CAP if size_cap is None else int(size_cap)
+    if (order * order + 7) // 8 > cap:
+        raise CapExceeded(order, cap)
 
 
 def materialize(recipe, size_cap=None):
@@ -708,9 +722,7 @@ def materialize(recipe, size_cap=None):
     """
     if recipe.kind != "mh":
         raise ValueError("not a matrix recipe; use materialize_design")
-    cap = DEFAULT_MATERIALIZE_CAP if size_cap is None else int(size_cap)
-    if (recipe.order * recipe.order + 7) // 8 > cap:
-        raise CapExceeded(recipe.order, cap)
+    _check_cap(recipe.order, size_cap)
     mat, rotations = _build(recipe)
     if mat.n != recipe.order:
         raise RuntimeError("materialized order %d, expected %d" % (mat.n, recipe.order))
@@ -722,35 +734,20 @@ def materialize(recipe, size_cap=None):
 
 
 def materialize_design(recipe):
-    """Incidence matrix and exact parameters for a design recipe."""
+    """Incidence matrix and exact parameters for a design recipe, under
+    materialize's default cap; see materialize for what it raises."""
     if recipe.kind != "design":
         raise ValueError("not a design recipe")
-    if recipe.node == "CatalogDesign":
-        return catalog_design(recipe.args[0])
-    if recipe.node == "PaleyDesign":
-        return paley_design(recipe.args[0])
-    if recipe.node == "ParamDesign":
-        raise MaterializeError(
-            "design %s is known at parameter level only" % (recipe.args,)
-        )
-    raise ValueError("unknown design node %r" % recipe.node)
-
-
-def _design_rotations(recipe):
-    """The column rotations of a design recipe's incidence matrix: those
-    of its development, none for explicit rows."""
-    if recipe.node == "PaleyDesign":
-        p, k = _paley_field(recipe.args[0], prime=False)
-        return _develop_rotations((p,) * k)
-    group = _load_json("catalog.json")[recipe.args[0]]["group"]
-    return () if group is None else _develop_rotations(tuple(group))
+    _check_cap(recipe.order)
+    return _build(recipe)[0], recipe_design_params(recipe)
 
 
 def _build(recipe):
     """The recipe's matrix, unchecked, and the column rotations (L, s,
     starts) that it proposes for the Gram check: materialize() verifies
     the result, and verify_mh keeps a rotation only if it maps the rows
-    onto themselves.
+    onto themselves.  A design recipe gives its incidence matrix (checked
+    by its seed); one known only by its parameters raises.
 
     Each seed proposes its group's rotations.  A Kronecker product turns
     the right factor's blocks inside each of its n1 blocks of n2 columns,
@@ -758,20 +755,26 @@ def _build(recipe):
     that fix the rows and columns its rounds drop, in the order they
     arrived (_iterate_built).
     """
-    node = recipe.node
+    node, args = recipe.node, recipe.args
     if node == "AllOnes":
-        return all_ones(recipe.args[0]), ()
+        return all_ones(args[0]), ()
     if node == "JMinus2I":
-        n = recipe.args[0]
-        return j_minus_2i(n), _core_rotations(n)
+        return j_minus_2i(args[0]), _core_rotations(args[0])
     if node == "PaleyHadamard":
-        q = recipe.args[0]
-        return paley_hadamard(q), _core_rotations(q + 1)
+        return paley_hadamard(args[0]), _core_rotations(args[0] + 1)
     if node == "TwoCirculant":
-        mat = two_circulant(recipe.args[0])[0]
+        mat = two_circulant(args[0])[0]
         return mat, _two_circulant_rotations(mat.n // 2)
     if node == "CatalogDesign":
-        return design_to_mh(catalog_design(recipe.args[0])[0]), _design_rotations(recipe)
+        D = catalog_design(args[0])[0]
+        group = _load_json("catalog.json")[args[0]]["group"]
+        rotations = () if group is None else _develop_rotations(tuple(group))
+        return (D if recipe.kind == "design" else design_to_mh(D)), rotations
+    if node == "PaleyDesign":
+        p, k = _paley_field(args[0], prime=False)
+        return paley_design(args[0])[0], _develop_rotations((p,) * k)
+    if node == "ParamDesign":
+        raise MaterializeError("design %s is known at parameter level only" % (args,))
     if node == "Kron":
         a, b = recipe.children
         return _kron_built(_build(a), _build(b))
@@ -782,8 +785,8 @@ def _build(recipe):
         base, design = recipe.children
         # the design first: one known only by its parameters raises
         # MaterializeError before any of the base is built
-        comp = materialize_design(design)[0]
-        return _iterate_built(_build(base), comp, _design_rotations(design), recipe.args[0])
+        comp, rotations = _build(design)
+        return _iterate_built(_build(base), comp, rotations, args[0])
     raise ValueError("unknown recipe node %r" % node)
 
 

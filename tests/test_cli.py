@@ -461,6 +461,18 @@ def test_any_crash_exits_11(capsys, monkeypatch):
     assert "internal error:" in err and "KeyError" in err
 
 
+def test_search_witness_in_decide_exits_11(capsys, monkeypatch):
+    # decide's search fallback only refutes; a witness there is a fault of
+    # the program, not an existence verdict
+    def finds(problem):
+        return search.SearchOutcome(matrices.SignMatrix(6, (0,) * 6), True, 1, 1)
+
+    monkeypatch.setattr(search, "run", finds)
+    code, out, err = run_cli(capsys, "decide", "6", "10", "--search-cap", "10")
+    assert code == 11 and out == ""
+    assert "AssertionError: search found an MH(6, 10) that plan does not build" in err
+
+
 def test_decide_parameter_level_certificate_does_not_exit_1(capsys, monkeypatch):
     # the certificate of (52495, 7) extends by a design known only by its
     # parameters, so it cannot be built; it stays a symbolic certificate

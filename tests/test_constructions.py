@@ -652,8 +652,9 @@ def test_recipe_json_keeps_the_kind():
 
 
 def test_recipe_json_malformed_objects_raise_value_error():
-    # recipe files can come from outside the program: a missing key, an
-    # unknown node or a wrong number of args or children names what is wrong
+    # recipe files can come from outside the program: a missing key, a value
+    # of the wrong JSON type, an unknown node or a wrong number of args or
+    # children names what is wrong
     b16 = double(double(seed_j_minus_2i(4)))
     obj = recipe_to_json(iterate(b16, "biplane_16_6_2", 2, modulus=5))
     assert recipe_from_json(obj).order == 46
@@ -666,6 +667,14 @@ def test_recipe_json_malformed_objects_raise_value_error():
         (dict(obj, children=[{"node": "Double"}] * 2), "has no 'kind'"),
         (dict(recipe_to_json(seed_all_ones(6)), args=[]), "AllOnes node needs 1 args"),
         (dict(obj, node="Triple"), "unknown recipe node 'Triple'"),
+        (dict(obj, node=["Iterate"]), "unknown recipe node \\['Iterate'\\]"),
+        (dict(obj, args=5), "Iterate node: args 5 does not match"),
+        (dict(obj, children=5), "Iterate node: children 5 does not match"),
+        (dict(obj, modulus=None), "Iterate node: modulus None does not match"),
+        (dict(obj, modulus=True), "Iterate node: modulus True does not match"),
+        (dict(obj, order=None), "Iterate node: order None does not match"),
+        (dict(obj, order=46), "Iterate node: order 46 does not match"),
+        (dict(obj, args=[None]), "Iterate node: args \\[None\\] does not match"),
     ]
     for wrong, message in bad:
         with pytest.raises(ValueError, match=message):
@@ -701,6 +710,34 @@ def test_materialize_design_param_only():
         materialize_design(r)
     params = recipe_design_params(r)
     assert (params.v, params.k, params.lam) == (2185, 729, 243)
+
+
+def test_materialize_design_cap():
+    # materialize's default cap holds for designs too: the Paley design of
+    # q = 23203, the first prime power q = 3 (mod 4) past 23,170, packs into
+    # 67,297,401 bytes, over 64 MiB
+    for q in (23203, 1_000_000_007):
+        with pytest.raises(CapExceeded) as exc:
+            materialize_design(seed_paley_design(q))
+        assert exc.value.order == q
+
+
+def test_design_nodes_build_as_their_seeds():
+    # _build reads a design node as the seed it names, and every column
+    # rotation it proposes maps the incidence rows onto themselves
+    designs = [(seed_paley_design(q), paley_design(q)) for q in (7, 11, 19, 27)]
+    designs += [(seed_catalog(x, kind="design"), catalog_design(x)) for x in catalog_names()]
+    proposed = 0
+    for r, want in designs:
+        assert materialize_design(r) == want, r.args
+        D, rotations = _build(r)
+        assert D is want[0], r.args
+        distinct = list(dict.fromkeys(D.rows))
+        assert len(_permutations(distinct, D.v, rotations)) == len(rotations), r.args
+        proposed += len(rotations)
+    # one per cyclic factor of each group (GF(27) is Z_3^3); ds_71_15_3 is
+    # stored as rows and proposes none
+    assert proposed == 15
 
 
 def test_plan_class_thresholds_mod7():

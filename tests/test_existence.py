@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from importlib import resources
 from math import gcd
 
 import pytest
@@ -358,6 +359,37 @@ def test_decide_search_fallback_exhausts():
     v = decide(6, 10)
     assert v.status == "Unknown"
     assert v.threshold_note is None
+
+
+def test_search_fallback_finds_only_what_plan_builds():
+    # decide's fallback only refutes.  Outside the regime the search takes
+    # n <= MAX_N_GENERIC; with m > n an MH(n, m) is real Hadamard, of order
+    # 4 or 8, which plan builds, and with m <= n each instance the search
+    # solves is one plan builds.  So decide never meets a witness it has to
+    # raise on
+    found = 0
+    for n in range(3, search.MAX_N_GENERIC + 1):
+        for m in range(2, n + 1):
+            if search.run(search.SearchProblem(n, m, goal="first")).found is not None:
+                assert plan(n, m) is not None, (n, m)
+                found += 1
+    assert found == 25
+    refuted = 0
+    for n in range(3, 25):
+        for m in range(2, 3 * n + 4):
+            refuted += decide(n, m, search_cap=24).reason == "SearchExhausted"
+    assert refuted == 8
+
+
+def test_schema_reason_enum_matches_decide():
+    # the verdict schema names exactly the reasons decide returns, the
+    # search fallback's refutation and SmallOddDelta among them
+    text = resources.files("modhadamard.data").joinpath("verdict.schema.json").read_text()
+    enum = json.loads(text)["properties"]["reason"]["enum"]
+    reasons = {decide(n, m).reason for n in range(3, 61) for m in range(2, 31)}
+    reasons.add(decide(6, 10, search_cap=10).reason)
+    assert decide(15, 7).reason == "SmallOddDelta"
+    assert sorted(reasons) == sorted(enum)
 
 
 def test_decide_search_cap_above_hard_limit_is_ignored():
