@@ -638,14 +638,34 @@ def _jint(x):
     return x if -(2**53) < x < 2**53 else str(x)
 
 
+# recipe JSON is read and written by one Python frame per tree level (map,
+# not a list comprehension, which is a frame of its own before Python 3.12),
+# so a deeper recipe is refused with ValueError before Python's recursion
+# limit (1,000 frames) would raise RecursionError; plan's recipes are about
+# log2(n) levels deep, a Double per halving of n
+_MAX_RECIPE_DEPTH = 500
+
+
+def _check_depth(depth):
+    if depth > _MAX_RECIPE_DEPTH:
+        raise ValueError("recipe is more than %d levels deep" % _MAX_RECIPE_DEPTH)
+
+
 def recipe_to_json(recipe):
+    """The recipe as a JSON object (recipe.schema.json).  A recipe more than
+    500 levels deep raises ValueError."""
+    return _to_json(recipe, 1)
+
+
+def _to_json(recipe, depth):
+    _check_depth(depth)
     return {
         "node": recipe.node,
         "kind": recipe.kind,
         "args": [_jint(a) if isinstance(a, int) else a for a in recipe.args],
         "order": str(recipe.order),
         "modulus": recipe.modulus,
-        "children": [recipe_to_json(c) for c in recipe.children],
+        "children": list(map(_to_json, recipe.children, itertools.repeat(depth + 1))),
     }
 
 
@@ -668,8 +688,13 @@ _FROM_JSON = {
 def recipe_from_json(obj):
     """The recipe of a recipe_to_json object, rebuilt by its constructors.
     A missing key, a value of the wrong JSON type (recipe.schema.json), an
-    unknown node or a wrong number of args or children raises ValueError,
-    naming what is wrong."""
+    unknown node, a wrong number of args or children or a tree more than
+    500 levels deep raises ValueError, naming what is wrong."""
+    return _from_json(obj, 1)
+
+
+def _from_json(obj, depth):
+    _check_depth(depth)
     if not isinstance(obj, dict):
         raise ValueError("recipe node must be a JSON object, got %r" % (obj,))
     missing = [key for key in ("node", "kind", "order", "modulus") if key not in obj]
@@ -692,7 +717,7 @@ def recipe_from_json(obj):
     for what, want, got in (("args", n_args, args), ("children", n_children, ch)):
         if len(got) != want:
             raise ValueError("%s node needs %d %s, got %d" % (node, want, what, len(got)))
-    r = build(args, [recipe_from_json(c) for c in ch], obj)
+    r = build(args, list(map(_from_json, ch, itertools.repeat(depth + 1))), obj)
     if r.kind != obj["kind"] or r.order != int(order) or r.modulus != modulus:
         raise ValueError("stored kind/order/modulus disagree with the reconstruction")
     return r

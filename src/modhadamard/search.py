@@ -8,13 +8,17 @@ for all matrices of that order.
 
 In the restricted regime (n odd, m odd, n < 3m, gcd(n, m) = 1) every
 off-diagonal inner product must be exactly +m or -m, which pins the
-number of -1 entries per row to (n-m)/2 or (n+m)/2 and shrinks the
-candidate set to a few thousand rows.
+number of -1 entries per row to (n-m)/2 or (n+m)/2.  The reduced search
+goes further there: negating rows makes every inner product the same, so
+it searches switched rows, all of one weight w over all n columns and
+every two at distance w, and fixes three of them up to a permutation of
+the columns (see run).
 """
 
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 from math import comb, gcd
 
 from .matrices import SignMatrix, _orthogonal_popcounts, verify_mh
@@ -208,13 +212,30 @@ def _solve_subtree(start, compat, mask, need, allow_repeat, goal):
         todo, allowed, left, skip = r2, a2, c - child_skip, child_skip
 
 
-def _canonical_second(x, w):
-    """The least row of x's class under the column stabilizer of the
-    canonical row of weight w: the lowest a columns of block 1..w plus the
-    lowest popcount(x) - a columns of block w+1..n-1, a = x's overlap with
-    block 1..w."""
-    a = (x & ((1 << w) - 1) << 1).bit_count()
-    return ((1 << a) - 1) << 1 | ((1 << (x.bit_count() - a)) - 1) << (w + 1)
+def _canonical(x, bounds):
+    """The least row of x's class under the permutations of columns that
+    keep each block [bounds[i], bounds[i + 1]): the lowest popcount(x & block)
+    columns of every block.  x has no set bit outside the blocks."""
+    y = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        y |= ((1 << (x >> lo & ((1 << (hi - lo)) - 1)).bit_count()) - 1) << lo
+    return y
+
+
+def _switched_pool(bounds):
+    """Every row with b, h - b, h - b and b columns in the blocks of
+    bounds = (0, h, 2h, 3h, n), over all b, ascending.  These are the rows
+    of weight w = 2h at distance w from c0 = (1 << w) - 1 and from
+    c1 = (1 << h) - 1 | ((1 << h) - 1) << w (see run)."""
+    h, n = bounds[1], bounds[4]
+    pool = []
+    for b in range(min(h, n - 3 * h) + 1):
+        parts = [
+            [x << lo for x in _weight_rows(hi - lo, c)]
+            for lo, hi, c in zip(bounds, bounds[1:], (b, h - b, h - b, b))
+        ]
+        pool.extend(map(sum, product(*parts)))
+    return sorted(pool)
 
 
 def _exact_quotient(a, b):
@@ -233,20 +254,24 @@ def run(problem, max_n=None, log_branches=False):
     whole space.  With symmetry on (the default) "first" and "exhaust"
     start with the reduced search below, which stops at its first witness:
     "exhaust" returns that, so `solutions` is 0 or 1, and "first" returns
-    None when it finds none.  "count" double counts over the column
-    permutations, as set out under "Counting" below.  When a witness
-    exists, "first" and "count" then run the unreduced "first" as well, so
-    the witness is still the lex-least one and nodes_visited counts both
-    passes.  log_branches records one entry per DFS start of each pass:
-    its start index, nodes and solutions, and in the reduced passes also
-    `rep`, the index of its canonical first row.  A count entry adds the
-    set size `s`, the `class` (a, weight) of its canonical second row and
-    the class's `multiplier`.  Raises LimitExceeded when n is beyond
-    max_n, which defaults to the instance's cap: MAX_N_RESTRICTED in the
-    restricted regime, MAX_N_GENERIC outside.
+    None when it finds none.  In the restricted regime that witness is made
+    of switched rows (see "Switching" below), so it need not be normalized.
+    "count" double counts over the column permutations, as set out under
+    "Counting" below.  When a witness exists, "first" and "count" then run
+    the unreduced "first" as well, so the witness is still the lex-least
+    one and nodes_visited counts both passes.  log_branches records one
+    entry per DFS start of each pass: its start index, nodes and
+    solutions, and in the reduced passes also `rep`, the index of its
+    canonical first row (always 0 in the restricted regime).  A count
+    entry adds the set size `s`, the `class` (a, weight) of its canonical
+    second row and the class's `multiplier`.  Raises LimitExceeded when n
+    is beyond max_n, which defaults to the instance's cap:
+    MAX_N_RESTRICTED in the restricted regime, MAX_N_GENERIC outside.
 
-    Soundness of the reduction.  A row is admitted by its weight alone,
-    and two rows a, b are compatible exactly when
+    Soundness of the two-level reduction, which "first" and "exhaust" use
+    outside the restricted regime and "count" everywhere.  A row is
+    admitted by its weight alone, and two rows a, b are compatible exactly
+    when
     n - 2 popcount(a ^ b) vanishes modulo m.  A permutation of columns
     1..n-1 keeps weights and popcount(a ^ b), so it maps candidates to
     candidates, compatible pairs to compatible pairs and solutions to
@@ -258,19 +283,65 @@ def run(problem, max_n=None, log_branches=False):
     c0 = reps[j*], of weight w, permutes columns 1..w and w+1..n-1
     separately, so it maps a row x to every row of the same class
     (a, popcount(x)), a = popcount(x & c0), and to none other.  Each
-    class holds one canonical second row: the lowest a columns of the first
-    block plus the lowest popcount(x) - a of the second.  Take a solution
-    holding c0 and any other row x in it; a stabilizer element maps it to a
-    solution holding c0 and x's canonical second row, and by the minimality
-    of j* that solution holds no earlier rep.  With a row allowed to
-    repeat, x may be a second copy of c0, which is its own class (w, w).
-    The reduced search therefore runs, for each j, over the pool of
-    candidates compatible with reps[j] that are not earlier reps, with
-    reps[j] implicit: the pool's canonical second rows come first, then
-    the other pool rows, and the DFS from start s enumerates exactly the
-    pool sets whose smallest index in that order is s.  The starts over
-    the canonical second rows together cover every set that holds one, each
+    class holds one canonical second row, _canonical(x, (1, w + 1, n)):
+    the lowest a columns of the first block plus the lowest
+    popcount(x) - a of the second.  Take a solution holding c0 and any
+    other row x in it; a stabilizer element maps it to a solution holding
+    c0 and x's canonical second row, and by the minimality of j* that
+    solution holds no earlier rep.  With a row allowed to repeat, x may be
+    a second copy of c0, which is its own class (w, w).  The reduced
+    search therefore runs, for each j, over the pool of candidates
+    compatible with reps[j] that are not earlier reps, with reps[j]
+    implicit: the pool's canonical second rows come first, then the other
+    pool rows, and the DFS from start s enumerates exactly the pool sets
+    whose smallest index in that order is s.  The starts over the
+    canonical second rows together cover every set that holds one, each
     once, so the branch of j* finds a solution.
+
+    Switching, in the restricted regime.  There every off-diagonal inner
+    product of an MH(n, m) is odd, a multiple of m and of absolute value
+    at most n < 3m, so it is s m with a sign s = +-1.
+    - The triangle identity.  In each column three +-1 rows u, v, x
+      disagree in 0 or 2 of their three pairs, so
+      d(u, v) + d(u, x) + d(v, x) is even, d being the Hamming distance,
+      and as <u, v> = n - 2 d(u, v),
+      <u, v> + <u, x> + <v, x> = 3n (mod 4).  Three signs with product +1
+      sum to 3 or -1, so their products sum to 3m = -m (mod 4); with
+      product -1 they sum to 1 or -3, and the products to m (mod 4).  As
+      m is odd, 3m != m (mod 4).  So every sign triangle s_ij s_ik s_jk has
+      the product sigma = +1 when n = m (mod 4), and -1 otherwise.
+    - Switching.  Negating rows keeps an MH(n, m).  Multiply row i >= 1 by
+      e_i = sigma s_0i: the sign of (0, i) becomes sigma s_0i s_0i = sigma,
+      and that of (i, j) sigma^2 s_0i s_0j s_ij = sigma.  Negate the
+      columns where row 0 is -1, so that row 0 is all +1.  Every other row
+      then has inner product sigma m with row 0 and with each other: it
+      has weight w = (n - sigma m)/2, and every two rows differ in exactly
+      w places.  Conversely the all-ones row and n - 1 such rows form an
+      MH(n, m).  So an MH(n, m) exists exactly when n - 1 rows of weight w
+      over all n columns are pairwise at distance w.  w is even, as
+      n - sigma m = 0 (mod 4) for either sigma.
+    - The canonical rows.  Every permutation of the n columns keeps
+      weights and distances.  Any row of weight w maps to
+      c0 = (1 << w) - 1.  The stabilizer of c0 permutes [0, w) and [w, n)
+      separately, and a row at distance w from c0 has w/2 columns in each,
+      so it maps to c1, the lowest w/2 columns of [0, w) plus the lowest
+      w/2 of [w, n).  The stabilizer of c0 and c1 permutes the blocks
+      [0, w/2), [w/2, w), [w, 3w/2) and [3w/2, n) separately.  A row x at
+      distance w from both has w/2 columns in c0 and w/2 in c1, so it has
+      b, w/2 - b, w/2 - b and b columns in those blocks, and it maps to its
+      class's canonical third row _canonical(x, bounds): the lowest
+      columns of each block.  When n != m (mod 4), w = (n + m)/2 and
+      [w, n) has (n - m)/2 < w/2 columns, as n < 3m, so no row is at
+      distance w from c0: the pool is empty and the instance is refuted
+      with no DFS.
+    - Coverage.  A solution maps to one holding c0, then c1, then a
+      canonical third row, so its other n - 3 rows are a pairwise
+      compatible set of the pool (the rows at distance w from c0 and c1,
+      built block by block by _switched_pool) that holds a canonical third
+      row.  The search runs over the pool with c0 and c1 implicit, the
+      canonical third rows first, and one DFS start per canonical third
+      row; as above, the starts together cover every set that holds one,
+      each once.
 
     Counting.  Let N = n - 1 and let K_s(P) be the number of pairwise
     compatible s-sets of distinct rows of P, K_s = K_s(candidates) and
@@ -315,12 +386,13 @@ def run(problem, max_n=None, log_branches=False):
     allow_repeat = 0 in ok
     branch_records = []
 
-    def traverse(order, starts, goal, need, repeat, fixed=(), label=None):
+    def traverse(order, starts, goal, need, repeat, fixed=(), label=None, dist=ok):
         """DFS from each start over `order` for sets of `need` rows, below
-        the rows `fixed`: (sorted witness rows or None, nodes, solutions).
-        goal "first" stops at the first witness."""
+        the rows `fixed`, two rows being compatible when the popcount of
+        their xor is in `dist`: (sorted witness rows or None, nodes,
+        solutions).  goal "first" stops at the first witness."""
         compat = [None] * len(order)
-        mask = _compat_mask(order, n, ok)
+        mask = _compat_mask(order, n, dist)
         nodes = 0
         best = None
         total = 0
@@ -351,7 +423,22 @@ def run(problem, max_n=None, log_branches=False):
     firsts = Counter(((1 << c.bit_count()) - 1) << 1 for c in cands)
     reps = sorted(firsts)
 
+    def switched():
+        w = (n - m if (n - m) % 4 == 0 else n + m) // 2
+        h = w // 2
+        c0, c1 = (1 << w) - 1, (1 << h) - 1 | ((1 << h) - 1) << w
+        bounds = (0, h, w, w + h, n)
+        pool = _switched_pool(bounds)
+        thirds = sorted({_canonical(x, bounds) for x in pool})
+        order = thirds + [x for x in pool if x not in thirds]
+        return traverse(
+            order, range(len(thirds)), "first", n - 3, False, (c0, c1),
+            {"rep": 0}, frozenset([w]),
+        )
+
     def reduced():
+        if regime:
+            return switched()
         rest = set(cands).difference(reps)
         order = reps + [c for c in cands if c in rest]
         if n == 2:  # a first row alone completes the matrix
@@ -360,7 +447,7 @@ def run(problem, max_n=None, log_branches=False):
         for j, c0 in enumerate(reps):
             w = c0.bit_count()
             pool = compatible(c0, order[j:])
-            classes = {_canonical_second(x, w) for x in pool}
+            classes = {_canonical(x, (1, w + 1, n)) for x in pool}
             seconds = sorted(classes.intersection(pool))
             order2 = seconds + [x for x in pool if x not in classes]
             best, sub_nodes, total = traverse(
@@ -388,7 +475,7 @@ def run(problem, max_n=None, log_branches=False):
         for j, c0 in enumerate(reps):
             w = c0.bit_count()
             pool = [x for x in compatible(c0, cands) if x != c0]
-            sizes = Counter(_canonical_second(x, w) for x in pool)
+            sizes = Counter(_canonical(x, (1, w + 1, n)) for x in pool)
             classes = [
                 (rep, size, [x for x in compatible(rep, pool) if x != rep])
                 for rep, size in sorted(sizes.items())

@@ -681,6 +681,40 @@ def test_recipe_json_malformed_objects_raise_value_error():
             recipe_from_json(wrong)
 
 
+def _chain(r):
+    """The nodes of a chain recipe from the top down, without recursion."""
+    nodes = [r]
+    while nodes[-1].children:
+        nodes.append(nodes[-1].children[0])
+    return nodes
+
+
+def test_recipe_json_depth_bound():
+    # a recipe file can come from outside the program: a recipe deeper than
+    # the stated bound is refused with ValueError, not RecursionError
+    deep = seed_j_minus_2i(4)
+    for _ in range(1200):
+        deep = double(deep)
+    with pytest.raises(ValueError, match="more than 500 levels deep"):
+        recipe_to_json(deep)
+    obj = None  # the same recipe as JSON, built by hand from the bottom up
+    for node in reversed(_chain(deep)):
+        obj = {"node": node.node, "kind": node.kind, "args": list(node.args),
+               "order": str(node.order), "modulus": node.modulus,
+               "children": [obj] if obj else []}
+    with pytest.raises(ValueError, match="more than 500 levels deep"):
+        recipe_from_json(obj)
+    # 500 levels, the bound, round-trip; Recipe == itself recurses, so the
+    # chains are compared node by node
+    top = _chain(deep)[701]
+    back = recipe_from_json(recipe_to_json(top))
+    pairs = list(zip(_chain(back), _chain(top), strict=True))
+    assert len(pairs) == 500
+    for got, want in pairs:
+        assert (got.node, got.args, got.order, got.modulus) == (
+            want.node, want.args, want.order, want.modulus)
+
+
 def test_recipe_json_big_orders_are_strings():
     big = plan(4481157543653329008412788039760691035 - 1 + 12, 7)
     assert big is not None

@@ -1,8 +1,9 @@
 import os
+import random
 import subprocess
 import sys
 import time
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import pytest
 
@@ -205,13 +206,15 @@ def test_two_level_reduction_agrees_at_orders_13_and_15():
 
 def test_reduced_node_counts():
     # node counts are the machine-independent measure of the search
-    both = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    pinned = {(11, 5): (0, []), (13, 5): (9822, both), (15, 7): (18062, both)}
+    three = [(0, 0), (0, 1), (0, 2)]
+    pinned = {(11, 5): (0, []), (13, 5): (1203, three), (15, 7): (1934, three),
+              (17, 9): (3057, three), (19, 11): (8298, three),
+              (21, 13): (80781, three), (23, 15): (1261830, three)}
     for (n, m), (nodes, starts) in pinned.items():
         out = run(SearchProblem(n, m, "restricted", "exhaust"), log_branches=True)
         assert out.exhausted and out.found is None and out.solutions == 0
-        assert out.nodes_visited == nodes
-        # one branch per (canonical first row, canonical second row) start
+        assert out.nodes_visited == nodes, (n, m)
+        # one branch per canonical third row of the switched search
         branches = out.log["branches"]
         assert [(b["rep"], b["start"]) for b in branches] == starts
         assert sum(b["nodes"] for b in branches) == nodes
@@ -362,9 +365,9 @@ def test_large_candidate_set_within_memory_limit():
 def test_first_settles_refuted_instance_by_reduced_search():
     out = run(SearchProblem(13, 5, "restricted", "first"), log_branches=True)
     assert out.exhausted and out.found is None and out.solutions == 0
-    assert out.nodes_visited == 9822  # the reduced exhaust's count
+    assert out.nodes_visited == 1203  # the reduced exhaust's count
     assert [(b["rep"], b["start"]) for b in out.log["branches"]] == [
-        (0, 0), (0, 1), (1, 0), (1, 1)
+        (0, 0), (0, 1), (0, 2)
     ]
 
 
@@ -374,8 +377,38 @@ def test_first_with_symmetry_keeps_lex_least_witness():
     off = run(SearchProblem(11, 7, "restricted", "first", symmetry=False))
     assert on.found is not None and on.found == off.found
     assert on.exhausted is False and on.solutions == 1
-    assert on.nodes_visited == off.nodes_visited + on.log["branches"][0]["nodes"]
+    reduced = [b["nodes"] for b in on.log["branches"] if "rep" in b]
+    assert on.nodes_visited == off.nodes_visited + sum(reduced)
     for n, m in _restricted_instances(11):
         on = run(SearchProblem(n, m, "restricted", "first"))
         off = run(SearchProblem(n, m, "restricted", "first", symmetry=False))
         assert on.found == off.found and on.exhausted == off.exhausted, (n, m)
+
+
+def test_triangle_identity():
+    # <u,v> + <u,x> + <v,x> = 3n (mod 4) for any three +-1 rows
+    rng = random.Random(27)
+    for _ in range(500):
+        n = rng.randrange(1, 60, 2)
+        u, v, x = (rng.getrandbits(n) for _ in range(3))
+        inner = [n - 2 * (a ^ b).bit_count() for a, b in ((u, v), (u, x), (v, x))]
+        assert (sum(inner) - 3 * n) % 4 == 0, (n, u, v, x)
+
+
+def test_restricted_exhaust_agrees_with_switching_theory():
+    """In the regime an MH(n, m) with n > m switches to a symmetric design,
+    so it needs n = m (mod 4) and a square nm + n - m; at n <= 23 exactly
+    those instances have a witness.  An instance with n != m (mod 4) is
+    refuted with no DFS.  (19, 7) and (23, 11) take seconds to minutes."""
+    t0 = time.perf_counter()
+    for n, m in _restricted_instances(23):
+        if (n, m) in ((19, 7), (23, 11)):
+            continue
+        out = run(SearchProblem(n, m, "restricted", "exhaust"), log_branches=True)
+        r2 = n * m + n - m
+        assert out.exhausted
+        assert (out.found is not None) == ((n - m) % 4 == 0 and isqrt(r2) ** 2 == r2), (n, m)
+        assert out.found is None or verify_mh(out.found, m).verdict
+        if (n - m) % 4:
+            assert out.nodes_visited == 0 and not out.log.get("branches"), (n, m)
+    assert time.perf_counter() - t0 < 2.0
