@@ -75,7 +75,7 @@ def _read_input(path):
 
 
 def _cmd_decide(args):
-    v = decide(args.n, args.m, _cap(args, "search_cap"))
+    v = decide(args.n, args.m)
     if args.format == "json":
         _emit(verdict_to_json(v))
     else:
@@ -207,7 +207,7 @@ def _cmd_nonexist(args):
             findings[step] = finding
     # report is SmallOddDelta's, the last step's
     recipe = findings.pop("Constructed")
-    established = any(findings.values())  # decide's verdict without search
+    established = any(findings.values())  # exactly when decide says NotExists
     if args.format == "json":
         payload = {
             "established": established,
@@ -379,7 +379,6 @@ def _build_parser():
     p = sub.add_parser("decide", parents=[common], help="existence verdict for MH(n, m)")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    p.add_argument("--search-cap", type=int, dest="search_cap")
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("construct", parents=[common], help="build a matrix or recipe")

@@ -1,15 +1,15 @@
 """Decision oracle for m-modular Hadamard matrix existence.
 
 decide(n, m) stacks the cheap necessary conditions, the small-case
-quadratic test, the construction planner and (optionally) exhaustive
-search into one auditable verdict.  Every Exists verdict carries a
-certificate; every NotExists names the test that fired.  gate_walk is
-the one statement of the order in which decide consults them.
+quadratic test and the construction planner into one auditable verdict.
+Every Exists verdict carries a certificate; every NotExists names the
+test that fired.  gate_walk is the one statement of the order in which
+decide consults them.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import search as search_mod
 from .constructions import _chain, _family10_giant, plan, recipe_to_json
@@ -101,6 +101,11 @@ def small_case_test(n, m):
     product sign to a root of a quadratic with discriminant Delta; the
     matrix can only exist when Delta is a perfect square and a root is a
     nonnegative integer.
+
+    Unsound as coded: it rejects every n = m + 4 for odd m >= 5, where
+    J - 2I is an MH(n, m), and (31, 11) and (57, 29), where J - 2N of
+    PG(2, 5) and PG(2, 7) is one.  decide consults it only after plan,
+    which builds the first family but not the second.
     """
     why = _small_case_inapplicable(n, m)
     if why:
@@ -147,14 +152,25 @@ def special_case_2m_plus_1(m):
 
 
 def small_even_reduction(n, m):
-    """For odd m and even n < 2m, only exact Hadamard matrices qualify.
+    """Even n < lcm(2, m), 4 not dividing n: no MH(n, m); reason or None.
 
-    Off-diagonal inner products are even multiples of m in (-2m, 2m),
-    hence zero, so 4 must divide n.  Returns a reason string or None.
+    Inner products have n's parity, are multiples of m and lie in
+    [-n, n]; +-n needs parallel rows and m | n, which n < lcm(2, m)
+    excludes for even n.  So all are 0, H is real Hadamard and 4 | n.
+    Odd n needs no case, as GcdBound fires first: for odd m and n < m,
+    4r = n (mod m) with n odd forces 4r >= n + m, and an even m fails
+    the divisibility half.
+
+    For odd m and 4 | n < 4m every product is 0 as well, so MH(n, m)
+    exists exactly when a Hadamard matrix of order n does.  +-n needs
+    4m | n, so the products are 0 or +-2m.  Those of three rows sum to
+    3n = 0 (mod 4) and 2m = 2 (mod 4), so each triple has 0 or 2 nonzero
+    pairs: they form a complete bipartite graph K_{a,b}.  G =
+    [[nI, 2mS], [2mS^T, nI]] is positive semidefinite only if
+    sigma_max(S) <= n/(2m), but b > 0 gives sigma_max(S)^2 >= max(a, b)
+    (a row's or a column's norm) >= n/2 > (n/(2m))^2, as n < 4m <= 2m^2.
     """
-    if m % 2 == 0 or n % 2:
-        return None
-    if n < 2 * m and n % 4:
+    if n % 2 == 0 and n < lcm(2, m) and n % 4:
         return "an exact Hadamard matrix of order %d cannot exist" % n
     return None
 
@@ -233,16 +249,12 @@ def gate_walk(n, m):
 def decide(n, m, search_cap=None):
     """Existence verdict for an MH(n, m).
 
-    search_cap enables the exhaustive-search fallback for n up to that
-    bound and the search's own cap.  Every Exists certificate is the
-    recipe plan(n, m), and decide builds no matrix: the recipe's
-    constructors checked every residue law when they made it, and
-    materialize builds the matrix and Gram-checks it.
+    Every Exists certificate is the recipe plan(n, m), and decide builds
+    no matrix: the recipe's constructors checked every residue law when
+    they made it, and materialize builds the matrix and Gram-checks it.
 
-    The search fallback only refutes.  The gates settle each regime
-    instance it could search; outside the regime, n <= MAX_N_GENERIC, an
-    MH(n, m) with m > n is real Hadamard (order 4 or 8, which plan builds)
-    and the tests check each m <= n.  So a witness raises AssertionError.
+    decide runs no search; search_cap is accepted and ignored, as
+    callers of the search fallback it once had still pass it.
     """
 
     def verdict(status, reason=None, certificate=None, note=None):
@@ -254,23 +266,7 @@ def decide(n, m, search_cap=None):
         if step == "Constructed":
             return verdict("Exists", step, finding)
         return verdict("NotExists", step)
-
-    if _search_refutes(n, m, search_cap):
-        return verdict("NotExists", "SearchExhausted")
     return verdict("Unknown", "ThresholdNotMet", note=threshold_note(n, m))
-
-
-def _search_refutes(n, m, cap):
-    """Whether the search fallback runs and finds no MH(n, m)."""
-    if cap is None or n > cap:
-        return False
-    try:
-        found = search_mod.run(search_mod.SearchProblem(n, m, goal="exhaust")).found
-    except search_mod.LimitExceeded:  # past the search's own cap: no search
-        return False
-    if found is not None:
-        raise AssertionError("search found an MH(%d, %d) that plan does not build" % (n, m))
-    return True
 
 
 def verdict_to_json(v):

@@ -248,7 +248,7 @@ def test_nonexist_command(capsys):
 
 def test_nonexist_is_decides_gate_verdict(capsys):
     # nonexist walks decide's gates, so it refutes exactly what decide
-    # refutes without search, and a construction outranks the Delta test
+    # refutes, and a construction outranks the Delta test
     parser = cli._build_parser()
     for m in range(2, 31):
         for n in range(3, 201):
@@ -415,7 +415,7 @@ def test_caps_read_only_by_commands_that_take_them(capsys, monkeypatch, tmp_path
     clean = [run_cli(capsys, *argv) for argv in argvs]
     assert [code for code, _, _ in clean] == [0, 1, 0]
     monkeypatch.setenv("MODHADAMARD_Q_LIMIT", "0")
-    monkeypatch.setenv("MODHADAMARD_SEARCH_CAP", "0")
+    monkeypatch.setenv("MODHADAMARD_MATERIALIZE_CAP", "0")
     assert [run_cli(capsys, *argv) for argv in argvs] == clean
 
 
@@ -461,16 +461,17 @@ def test_any_crash_exits_11(capsys, monkeypatch):
     assert "internal error:" in err and "KeyError" in err
 
 
-def test_search_witness_in_decide_exits_11(capsys, monkeypatch):
-    # decide's search fallback only refutes; a witness there is a fault of
-    # the program, not an existence verdict
-    def finds(problem):
-        return search.SearchOutcome(matrices.SignMatrix(6, (0,) * 6), True, 1, 1)
-
-    monkeypatch.setattr(search, "run", finds)
-    code, out, err = run_cli(capsys, "decide", "6", "10", "--search-cap", "10")
-    assert code == 11 and out == ""
-    assert "AssertionError: search found an MH(6, 10) that plan does not build" in err
+def test_decide_small_even_order_runs_no_search(capsys):
+    # even n < lcm(2, m) with 4 not dividing n is refuted by a gate, with
+    # no search and no flag to ask for one
+    code, out, _ = run_cli(capsys, "decide", "6", "10")
+    assert code == 1
+    assert out.startswith("MH(6, 10): NotExists (SmallEvenRealHadamard)")
+    code, out, _ = run_cli(capsys, "nonexist", "6", "10", "--format", "json")
+    assert code == 1 and json.loads(out)["established"] is True
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decide", "6", "10", "--search-cap", "10"])
+    assert exc.value.code == 10
 
 
 def test_decide_parameter_level_certificate_does_not_exit_1(capsys, monkeypatch):

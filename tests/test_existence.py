@@ -3,7 +3,7 @@ import json
 import re
 from fractions import Fraction
 from importlib import resources
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -97,6 +97,12 @@ def test_small_even_reduction():
     assert small_even_reduction(6, 3) is None  # 6 >= 2m
     assert small_even_reduction(10, 7) is not None
     assert small_even_reduction(7, 5) is None  # odd n out of scope
+    # even m: n < lcm(2, m) = m
+    assert small_even_reduction(6, 10) is not None
+    assert small_even_reduction(10, 14) is not None
+    assert small_even_reduction(8, 10) is None  # 4 divides 8
+    assert small_even_reduction(10, 10) is None  # 10 >= m
+    assert small_even_reduction(14, 10) is None
 
 
 def test_decide_notexists_quadratic():
@@ -300,7 +306,7 @@ def test_decide_verdicts_are_pinned_byte_for_byte():
             line = json.dumps(verdict_to_json(decide(n, m)), sort_keys=True) + "\n"
             digest.update(line.encode())
     assert digest.hexdigest() == (
-        "ec61aac3c1f5794342fe27c792bbc1e46e1ab826d447674431c411ad03db9954"
+        "6140e28540053b75075a47a640cb524bf2b6105e7242e80b5aad4a91fa8a897a"
     )
 
 
@@ -351,43 +357,46 @@ def test_every_unknown_note_names_a_gate_that_plan_passes():
     assert unknown == 480
 
 
-def test_decide_search_fallback_exhausts():
-    v = decide(6, 10, search_cap=10)
-    assert v.status == "NotExists"
-    assert v.reason == "SearchExhausted"
-    # without the fallback the same case is honestly unknown
-    v = decide(6, 10)
-    assert v.status == "Unknown"
-    assert v.threshold_note is None
-
-
-def test_search_fallback_finds_only_what_plan_builds():
-    # decide's fallback only refutes.  Outside the regime the search takes
-    # n <= MAX_N_GENERIC; with m > n an MH(n, m) is real Hadamard, of order
-    # 4 or 8, which plan builds, and with m <= n each instance the search
-    # solves is one plan builds.  So decide never meets a witness it has to
-    # raise on
-    found = 0
+def test_gates_settle_every_generic_search_instance():
+    # decide runs no search: its gates and plan settle every instance the
+    # generic search takes, and agree with it.  Past m = n the gates that
+    # fire do not depend on m, so larger m adds nothing new
+    checked = 0
     for n in range(3, search.MAX_N_GENERIC + 1):
-        for m in range(2, n + 1):
-            if search.run(search.SearchProblem(n, m, goal="first")).found is not None:
-                assert plan(n, m) is not None, (n, m)
-                found += 1
-    assert found == 25
-    refuted = 0
-    for n in range(3, 25):
         for m in range(2, 3 * n + 4):
-            refuted += decide(n, m, search_cap=24).reason == "SearchExhausted"
-    assert refuted == 8
+            v = decide(n, m)
+            assert v.status != "Unknown", (n, m)
+            found = search.run(search.SearchProblem(n, m, goal="exhaust")).found
+            assert (v.status == "Exists") == (found is not None), (n, m)
+            checked += 1
+    assert checked == 172
+
+
+def test_real_hadamard_orders_have_exact_certificates():
+    # for 4 | n below lcm(2, m), and for odd m with 4 | n < 4m, every inner
+    # product of an MH(n, m) is 0 (small_even_reduction's docstring): each
+    # Exists is an exact certificate, and each Unknown is an order whose
+    # Hadamard matrix the bundled seeds do not reach
+    exists = unknown = 0
+    for m in range(2, 401):
+        top = max(lcm(2, m), 4 * m if m % 2 else 0)
+        for n in range(4, top, 4):
+            v = decide(n, m)
+            if v.status == "Exists":
+                assert v.certificate.modulus == 0, (n, m)
+                exists += 1
+            elif v.status == "Unknown":
+                assert constructions._exact_order_recipe(n) is None, (n, m)
+                unknown += 1
+    assert (exists, unknown) == (29263, 20437)
 
 
 def test_schema_reason_enum_matches_decide():
-    # the verdict schema names exactly the reasons decide returns, the
-    # search fallback's refutation and SmallOddDelta among them
+    # the verdict schema names exactly the reasons decide returns,
+    # SmallOddDelta among them
     text = resources.files("modhadamard.data").joinpath("verdict.schema.json").read_text()
     enum = json.loads(text)["properties"]["reason"]["enum"]
     reasons = {decide(n, m).reason for n in range(3, 61) for m in range(2, 31)}
-    reasons.add(decide(6, 10, search_cap=10).reason)
     assert decide(15, 7).reason == "SmallOddDelta"
     assert sorted(reasons) == sorted(enum)
 
@@ -432,10 +441,10 @@ def test_verdict_json_shapes():
     assert doc["threshold_note"].startswith("n = 1 (mod 14)")
     assert "certificate" not in doc
 
-    doc = verdict_to_json(decide(6, 10, search_cap=10))
+    doc = verdict_to_json(decide(6, 10))
     assert doc == {
         "n": 6,
         "m": 10,
         "status": "NotExists",
-        "reason": "SearchExhausted",
+        "reason": "SmallEvenRealHadamard",
     }
