@@ -11,12 +11,13 @@ chains covers it.
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
 from math import gcd, isqrt, prod
 from operator import and_
 
+from ._record import Record
 from .matrices import (
     DesignParams,
     IncidenceMatrix,
@@ -414,25 +415,18 @@ def find_difference_set(group, k, lam):
 # parameter families
 
 
-@dataclass(frozen=True)
-class Family10Params:
-    q: int
-    d: int
-    e: int
-    r: int
-    v: int
-    k: int
-    lam: int
-    r_is_prime_power: bool
+class Family10Params(
+    Record, namedtuple("Family10Params", "q d e r v k lam r_is_prime_power")
+):
+    """(v, k, lam) of family10_params(q, d, e), with its repunit r."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Family11Params:
-    q: int
-    e: int
-    v: int
-    k: int
-    lam: int
+class Family11Params(Record, namedtuple("Family11Params", "q e v k lam")):
+    """(v, k, lam) of family11_params(q, e)."""
+
+    __slots__ = ()
 
 
 def family10_params(q, d, e):
@@ -494,8 +488,7 @@ def check_constraints_1_to_4(params, p, n, parity=(4, 3)):
 # recipes
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(Record, namedtuple("Recipe", "node args children order modulus kind")):
     """One node of a construction tree.
 
     kind is "mh" for matrix-valued nodes and "design" for design-valued
@@ -503,12 +496,7 @@ class Recipe:
     (0 = exact) computed from the children, both without materializing.
     """
 
-    node: str
-    args: tuple
-    children: tuple
-    order: int
-    modulus: int
-    kind: str
+    __slots__ = ()
 
 
 def seed_all_ones(n):
@@ -800,12 +788,20 @@ def _build(recipe):
         return paley_design(args[0])[0], _develop_rotations((p,) * k)
     if node == "ParamDesign":
         raise MaterializeError("design %s is known at parameter level only" % (args,))
-    if node == "Kron":
-        a, b = recipe.children
-        return _kron_built(_build(a), _build(b))
-    if node == "Double":
-        (a,) = recipe.children
-        return _kron_built(_build(a), (SignMatrix(2, (0, 2)), ()))
+    if node in ("Kron", "Double"):
+        # (A x B) x C and A x (B x C) have the same rows and rotations, in
+        # the same order: take the left spine's small right factors first,
+        # so that the big left factor's rows are spread once
+        right = None
+        while recipe.node in ("Kron", "Double"):
+            if recipe.node == "Kron":
+                recipe, b = recipe.children
+                factor = _build(b)
+            else:
+                (recipe,) = recipe.children
+                factor = (SignMatrix(2, (0, 2)), ())
+            right = factor if right is None else _kron_built(factor, right)
+        return _kron_built(_build(recipe), right)
     if node == "Iterate":
         base, design = recipe.children
         # the design first: one known only by its parameters raises

@@ -7,11 +7,12 @@ test that fired.  gate_walk is the one statement of the order in which
 decide consults them.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from . import search as search_mod
+from ._record import Record
 from .constructions import _chain, _family10_giant, plan, recipe_to_json
 from .numtheory import _half_pow, is_perfect_square, is_prime, is_quadratic_residue
 
@@ -34,27 +35,32 @@ class NotApplicable(ValueError):
     """The test's preconditions do not hold for this (n, m)."""
 
 
-@dataclass(frozen=True)
-class Verdict:
-    n: int
-    m: int
-    status: str
-    reason: str = None
-    certificate: object = None
-    conjecture_prediction: bool = None
-    threshold_note: str = None
+class Verdict(
+    Record,
+    namedtuple(
+        "Verdict",
+        "n m status reason certificate conjecture_prediction threshold_note",
+        defaults=(None,) * 4,
+    ),
+):
+    """decide's answer for (n, m): status Exists, NotExists or Unknown; the
+    reason, the gate that fired or ThresholdNotMet; for Exists the
+    certificate, plan's recipe."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SmallCaseReport:
-    n: int
-    m: int
-    Delta: int
-    sqrt_Delta: int
-    d_plus: Fraction
-    d_minus: Fraction
-    admissible: bool
-    row_profile: tuple
+class SmallCaseReport(
+    Record,
+    namedtuple(
+        "SmallCaseReport", "n m Delta sqrt_Delta d_plus d_minus admissible row_profile"
+    ),
+):
+    """small_case_test's findings: the discriminant Delta and its square
+    root (None unless Delta is a square), the quadratic's roots d_plus and
+    d_minus, whether one is a nonnegative integer, and the row profile."""
+
+    __slots__ = ()
 
 
 def _gcd_divisibility(n, m):

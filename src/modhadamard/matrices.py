@@ -10,13 +10,12 @@ same convention (gcd(0, x) = x), which makes the Kronecker modulus law
 degrade gracefully to real Hadamard matrices.
 """
 
-from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import Counter, namedtuple
 from itertools import accumulate, repeat
 from math import gcd
 from operator import and_, xor
 
+from ._record import Record
 from .numtheory import _half_pow
 
 __all__ = [
@@ -82,15 +81,14 @@ def _pack_entries(entries, set_entry, clear_entry, message):
     return order, tuple(rows)
 
 
-@dataclass(frozen=True)
-class SignMatrix:
+class SignMatrix(Record, namedtuple("SignMatrix", "n rows")):
     """Square matrix over {+1, -1}, rows bit-packed (set bit = -1)."""
 
-    n: int
-    rows: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_rows(self.n, self.rows)
+    def __new__(cls, n, rows):
+        _check_rows(n, rows)
+        return tuple.__new__(cls, (n, rows))
 
     @classmethod
     def from_entries(cls, entries):
@@ -116,15 +114,14 @@ def j_minus_2i(n):
     return SignMatrix(n, tuple(1 << i for i in range(n)))
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+class IncidenceMatrix(Record, namedtuple("IncidenceMatrix", "v rows")):
     """Square 0/1 matrix, rows bit-packed (set bit = 1)."""
 
-    v: int
-    rows: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_rows(self.v, self.rows)
+    def __new__(cls, v, rows):
+        _check_rows(v, rows)
+        return tuple.__new__(cls, (v, rows))
 
     @classmethod
     def from_entries(cls, entries):
@@ -134,45 +131,69 @@ class IncidenceMatrix:
         return (self.rows[i] >> j) & 1
 
 
-@dataclass(frozen=True)
-class DesignParams:
+class DesignParams(Record, namedtuple("DesignParams", "v k lam modulus")):
     """(v, k, lambda; m) parameter record.
 
     k and lam are kept as exact integers when known; congruence checks
     reduce them at the modulus. modulus 0 means the design is exact.
     """
 
-    v: int
-    k: int
-    lam: int
-    modulus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.v < 2:
+    def __new__(cls, v, k, lam, modulus):
+        if v < 2:
             raise ValueError("v must be >= 2")
-        if self.modulus < 0 or self.modulus == 1:
+        if modulus < 0 or modulus == 1:
             raise ValueError("modulus must be 0 (exact) or >= 2")
+        return tuple.__new__(cls, (v, k, lam, modulus))
 
 
-@dataclass(frozen=True)
 class GramReport:
     """Outcome of verify_mh.  offdiag_residues, the key-sorted histogram of
     the off-diagonal inner products at the modulus, is counted from the
-    stored rows the first time it is read."""
+    stored rows the first time it is read.  Immutable; the rows are left
+    out of its equality and its repr."""
 
-    modulus: int
-    diagonal_ok: bool
-    verdict: bool
-    rows: tuple = field(compare=False, repr=False)
+    __slots__ = ("modulus", "diagonal_ok", "verdict", "rows", "_residues")
 
-    @cached_property
+    def __init__(self, modulus, diagonal_ok, verdict, rows):
+        put = object.__setattr__
+        put(self, "modulus", modulus)
+        put(self, "diagonal_ok", diagonal_ok)
+        put(self, "verdict", verdict)
+        put(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GramReport is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GramReport is immutable")
+
+    def _key(self):
+        return self.modulus, self.diagonal_ok, self.verdict
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is GramReport else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "GramReport(modulus=%r, diagonal_ok=%r, verdict=%r)" % self._key()
+
+    @property
     def offdiag_residues(self):
+        try:
+            return self._residues
+        except AttributeError:  # not counted yet
+            pass
         n = len(self.rows)
         if self.verdict:
             counts = {0: n * (n - 1) // 2} if n > 1 else {}
         else:
             counts = _residue_histogram(self.rows, n, self.modulus)
-        return dict(sorted(counts.items()))
+        object.__setattr__(self, "_residues", dict(sorted(counts.items())))
+        return self._residues
 
 
 def _orthogonal_popcounts(n, m):

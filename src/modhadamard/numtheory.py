@@ -5,8 +5,11 @@ Primality is exact below 2**64 and probabilistic (flagged) above.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
+from itertools import compress
+
+from ._record import Record
 
 __all__ = [
     "NotInvertible",
@@ -45,16 +48,13 @@ class Condition1Error(ValueError):
         self.invariant = invariant
 
 
-_SMALL_PRIMES = []
 _sieve_limit = 10000
 _sieve = bytearray([1]) * (_sieve_limit + 1)
 _sieve[0:2] = b"\x00\x00"
 for _i in range(2, int(_sieve_limit**0.5) + 1):
     if _sieve[_i]:
         _sieve[_i * _i :: _i] = bytearray(len(_sieve[_i * _i :: _i]))
-for _i in range(2, _sieve_limit + 1):
-    if _sieve[_i]:
-        _SMALL_PRIMES.append(_i)
+_SMALL_PRIMES = list(compress(range(_sieve_limit + 1), _sieve))
 
 
 def _odd_split(m):
@@ -311,11 +311,13 @@ def _power_residue_moduli(e):
     return tuple([ell for ell in _SMALL_PRIMES if ell % e == 1][:4])
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    base: int
-    exponent: int
-    probabilistic: bool = False
+class PrimePower(
+    Record, namedtuple("PrimePower", "base exponent probabilistic", defaults=(False,))
+):
+    """x = base**exponent with base prime; probabilistic when the base's
+    primality rests on the Baillie-PSW test alone (a base >= 2**64)."""
+
+    __slots__ = ()
 
 
 def is_prime_power(x):
@@ -377,16 +379,14 @@ def repunit(q, d):
     return (q**d - 1) // (q - 1)
 
 
-@dataclass(frozen=True)
-class Condition1Witness:
-    p: int
-    delta: int
-    q: int
-    d: int
-    r: int
-    r_base: int
-    r_exponent: int
-    probabilistic: bool
+class Condition1Witness(
+    Record,
+    namedtuple("Condition1Witness", "p delta q d r r_base r_exponent probabilistic"),
+):
+    """A checked (p, q, d) row: the repunit r = (q**d - 1)/(q - 1) is
+    r_base**r_exponent, and delta = d mod p."""
+
+    __slots__ = ()
 
 
 def condition1_verify(p, q, d):

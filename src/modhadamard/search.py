@@ -16,11 +16,11 @@ the columns (see run).
 """
 
 import hashlib
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import product
 from math import comb, gcd
 
+from ._record import Record
 from .matrices import SignMatrix, _orthogonal_popcounts, verify_mh
 
 __all__ = [
@@ -45,16 +45,21 @@ def _restricted_regime(n, m):
     return m % 2 == 1 and n % 2 == 1 and n < 3 * m and gcd(n, m) == 1
 
 
-@dataclass(frozen=True)
-class SearchProblem:
-    n: int
-    m: int
-    mode: str = "generic"
-    goal: str = "first"
-    # column-symmetry reduction, for every goal (see run)
-    symmetry: bool = True
+class SearchProblem(
+    Record,
+    namedtuple(
+        "SearchProblem",
+        "n m mode goal symmetry",
+        defaults=("generic", "first", True),
+    ),
+):
+    """One search instance.  symmetry turns on the column-symmetry
+    reduction, for every goal (see run)."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 2:
             raise ValueError("order must be >= 2")
         if self.mode not in ("generic", "restricted"):
@@ -63,16 +68,32 @@ class SearchProblem:
             raise ValueError("goal must be first, count or exhaust")
         if self.mode == "restricted" and not _restricted_regime(self.n, self.m):
             raise ValueError("restricted mode needs odd n < 3m, odd m, gcd(n,m)=1")
+        return self
 
 
-@dataclass
-class SearchOutcome:
-    found: object
-    exhausted: bool
-    nodes_visited: int
-    candidate_row_count: int
-    solutions: int = 0
-    log: dict = field(default_factory=dict)
+class SearchOutcome(
+    Record,
+    namedtuple(
+        "SearchOutcome", "found exhausted nodes_visited candidate_row_count solutions log"
+    ),
+):
+    """What run found (a SignMatrix or None), whether the space was
+    exhausted, the work done, and run's log (a new dict by default)."""
+
+    __slots__ = ()
+
+    def __new__(cls, found, exhausted, nodes_visited, candidate_row_count, solutions=0, log=None):
+        return tuple.__new__(
+            cls,
+            (
+                found,
+                exhausted,
+                nodes_visited,
+                candidate_row_count,
+                solutions,
+                {} if log is None else log,
+            ),
+        )
 
 
 def candidate_rows(n, m, mode):
