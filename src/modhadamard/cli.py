@@ -208,6 +208,14 @@ def _cmd_nonexist(args):
     # report is SmallOddDelta's, the last step's
     recipe = findings.pop("Constructed")
     established = any(findings.values())  # exactly when decide says NotExists
+    # a Delta test that rejects (n, m) but does not fire, with no recipe,
+    # yields to the switching test
+    switching = (
+        not isinstance(report, str)
+        and not report.admissible
+        and recipe is None
+        and findings["SmallOddDelta"] is None
+    )
     if args.format == "json":
         payload = {
             "established": established,
@@ -230,6 +238,7 @@ def _cmd_nonexist(args):
                 if report.sqrt_Delta is None
                 else _jint(report.sqrt_Delta),
                 "yields_to_construction": recipe is not None,
+                "yields_to_switching": switching,
             }
             if report.row_profile is not None:
                 alpha, beta, a, offset = report.row_profile
@@ -254,6 +263,8 @@ def _cmd_nonexist(args):
             word = "admissible" if report.admissible else "inadmissible"
             if recipe is not None:
                 word += " (the test yields to the construction %s)" % recipe.node
+            elif switching:
+                word += " (the switching test admits (%d, %d))" % (args.n, args.m)
             if report.sqrt_Delta is None:
                 print("  Delta = %d (not a perfect square): %s" % (report.Delta, word))
             else:

@@ -111,7 +111,10 @@ def small_case_test(n, m):
     Unsound as coded: it rejects every n = m + 4 for odd m >= 5, where
     J - 2I is an MH(n, m), and (31, 11) and (57, 29), where J - 2N of
     PG(2, 5) and PG(2, 7) is one.  decide consults it only after plan,
-    which builds the first family but not the second.
+    which builds the first family but not the second, and ignores every
+    rejection that the switching test admits (_switching_admits), such as
+    both families: 182 rejections with odd m < 400, the first (31, 11),
+    (43, 19), (67, 27) and (57, 29), become Unknown.
     """
     why = _small_case_inapplicable(n, m)
     if why:
@@ -148,6 +151,21 @@ def small_case_test(n, m):
     return SmallCaseReport(
         n, m, delta, root if square else None, d_plus, d_minus, admissible, profile
     )
+
+
+def _switching_admits(n, m):
+    """The switching test for odd m, odd n < 3m and gcd(n, m) = 1: an
+    MH(n, m) needs n > m, n = m (mod 4) and nm + n - m a square.
+
+    search.run's docstring shows that the matrix switches to the all-ones
+    row and n - 1 rows of one weight, every two at one distance, which
+    needs n = m (mod 4).  Its Gram matrix G = (n - m)I + mJ is then
+    positive semidefinite only for n >= m, and gcd(n, m) = 1 rules out
+    n = m.  For n > m the switched H is invertible, and
+    H^T H = (n - m)I + m ss^T / (nm + n - m) with s = H^T 1, whose
+    diagonal makes every column sum s_j satisfy s_j^2 = nm + n - m.
+    """
+    return n > m and (n - m) % 4 == 0 and is_perfect_square(n * m + n - m) is not None
 
 
 def special_case_2m_plus_1(m):
@@ -230,7 +248,9 @@ def gate_walk(n, m):
     is not None and reports its step: a gate's finding says why it fires,
     Constructed's is plan(n, m).  SmallOddDelta's detail is its
     SmallCaseReport, or why the test does not apply; it yields to a
-    construction, as a verified matrix outranks it.
+    construction, as a verified matrix outranks it, and to the proved
+    switching test (_switching_admits): it fires only when that test
+    refutes (n, m) as well.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -248,7 +268,7 @@ def gate_walk(n, m):
         yield "SmallOddDelta", None, why
         return
     report = small_case_test(n, m)
-    fires = recipe is None and not report.admissible
+    fires = recipe is None and not report.admissible and not _switching_admits(n, m)
     yield "SmallOddDelta", "no admissible row count" if fires else None, report
 
 

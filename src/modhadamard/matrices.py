@@ -448,31 +448,20 @@ def _iterate_built(built, comp, companion, rounds):
     and column 0 and appends the companion's v of each.  With the base's
     n places first and each round's v after them, the first `rounds`
     places are gone and place c ends at c - rounds.  A rotation of one
-    piece, the base or round i's companion at place n + i v, permutes the
-    piece's rows and fixes the others: a companion's rows arrive constant
-    on the earlier columns, and the earlier rows are constant on its.  A
-    round XORs every row with row 0 and complements some on the core's
-    columns; if the rotation fixes row 0 and keeps off column 0, it
-    commutes with that and acts one column lower.  Row 0 of round j is the
-    row at place j, fixed unless it is the piece's own, and then fixed
-    exactly when it was on arrival.  So a rotation is kept when it touches
-    no place below `rounds` and fixes its piece's rows there; a companion
-    block still whole keeps all of its rotations.  Rotations with equal
-    (L, s), which act on disjoint blocks, are merged into one.
+    piece, the base or round i's companion at place n + i v, that touches
+    no place below `rounds` is proposed, `rounds` places down.  It is a
+    symmetry when it also fixes the piece's rows that the rounds drop, as
+    it then commutes with each round; verify_mh keeps only the proposals
+    that permute the rows, so that is not checked here.  Rotations with
+    equal (L, s), which act on disjoint blocks, are merged into one.
     """
     mat, v = built[0], comp.v
     n, rows = mat.n, mat.rows
-    pieces = [(0, n, rows, built[1])]
-    pieces += [(n + i * v, v, comp.rows, companion) for i in range(rounds)]
+    pieces = [(0, built[1])] + [(n + i * v, companion) for i in range(rounds)]
     merged = {}
-    for place, width, piece_rows, rotations in pieces:
-        used = piece_rows[: max(rounds - place, 0)]
+    for place, rotations in pieces:
         for L, s, starts in rotations:
-            kept = place + min(starts) >= rounds
-            if kept and used:
-                turn = _rotation((L, s, starts), width)
-                kept = all(turn(r) == r for r in used)
-            if kept:
+            if place + min(starts) >= rounds:
                 merged.setdefault((L, s), []).extend(a + place - rounds for a in starts)
     flipped = [d ^ ((1 << v) - 1) for d in comp.rows]
     for _ in range(rounds):

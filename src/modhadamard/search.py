@@ -433,6 +433,16 @@ def run(problem, max_n=None, log_branches=False):
                     break
         return best, nodes, total
 
+    def canonical_first(pool, bounds, need, repeat, fixed, label, dist=ok):
+        """traverse "first" below the rows `fixed` over `pool`, its canonical
+        rows under `bounds` (_canonical) first, one DFS start at each."""
+        canon = {_canonical(x, bounds) for x in pool}
+        heads = sorted(canon.intersection(pool))
+        order = heads + [x for x in pool if x not in canon]
+        return traverse(
+            order, range(len(heads)), "first", need, repeat, fixed, label, dist
+        )
+
     def full(goal):
         return traverse(cands, range(k), goal, n - 1, allow_repeat)
 
@@ -449,12 +459,9 @@ def run(problem, max_n=None, log_branches=False):
         h = w // 2
         c0, c1 = (1 << w) - 1, (1 << h) - 1 | ((1 << h) - 1) << w
         bounds = (0, h, w, w + h, n)
-        pool = _switched_pool(bounds)
-        thirds = sorted({_canonical(x, bounds) for x in pool})
-        order = thirds + [x for x in pool if x not in thirds]
-        return traverse(
-            order, range(len(thirds)), "first", n - 3, False, (c0, c1),
-            {"rep": 0}, frozenset([w]),
+        return canonical_first(
+            _switched_pool(bounds), bounds, n - 3, False, (c0, c1), {"rep": 0},
+            frozenset([w]),
         )
 
     def reduced():
@@ -467,12 +474,8 @@ def run(problem, max_n=None, log_branches=False):
         nodes = 0
         for j, c0 in enumerate(reps):
             w = c0.bit_count()
-            pool = compatible(c0, order[j:])
-            classes = {_canonical(x, (1, w + 1, n)) for x in pool}
-            seconds = sorted(classes.intersection(pool))
-            order2 = seconds + [x for x in pool if x not in classes]
-            best, sub_nodes, total = traverse(
-                order2, range(len(seconds)), "first", n - 2, allow_repeat,
+            best, sub_nodes, total = canonical_first(
+                compatible(c0, order[j:]), (1, w + 1, n), n - 2, allow_repeat,
                 (c0,), {"rep": j},
             )
             nodes += sub_nodes

@@ -264,6 +264,15 @@ def test_nonexist_is_decides_gate_verdict(capsys):
         assert code == 2
         assert "inadmissible (the test yields to the construction JMinus2I)" in out
         assert "established: no" in out
+    # J - 2N of PG(2, 5) is an MH(31, 11): the Delta test yields to switching
+    code, out, _ = run_cli(capsys, "nonexist", "31", "11")
+    assert code == 2
+    assert "inadmissible (the switching test admits (31, 11))" in out
+    code, out, _ = run_cli(capsys, "nonexist", "31", "11", "--format", "json")
+    delta = json.loads(out)["delta_test"]
+    assert delta["yields_to_switching"] is True and delta["admissible"] is False
+    code, out, _ = run_cli(capsys, "nonexist", "15", "7", "--format", "json")
+    assert json.loads(out)["delta_test"]["yields_to_switching"] is False
     code, out, _ = run_cli(capsys, "nonexist", "27", "7")
     assert code == 1
     assert "quadratic residue: n mod m is a quadratic nonresidue" in out

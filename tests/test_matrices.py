@@ -313,16 +313,21 @@ def test_orbit_reduction_with_rotations_matches_unreduced_check():
     assert dropped > 100
 
 
-def test_iterate_keeps_a_rotation_that_fixes_the_rows_that_left():
-    # a rotation of the base stays only if it keeps off the columns that
-    # leave and fixes the rows that become row 0; companion blocks still
-    # whole keep theirs, at their place minus the rounds
+def test_iterate_proposes_the_rotations_off_the_columns_that_left():
+    # a rotation of the base is proposed only if it keeps off the columns
+    # that leave; companion blocks still whole keep theirs, at their place
+    # minus the rounds.  verify_mh alone decides whether a proposal holds:
+    # J - 2I's rotation does after a round, but not once row 0 is moved
     H, rotation = paley_hadamard(7), _core_rotations(8)  # fixes row 0 only
     D, companion = _develop((3,), {0}), _develop_rotations((3,))
     assert _iterate_built((H, rotation), D, (), 1)[1] == ((7, 1, (0,)),)
     assert _iterate_built((H, rotation), D, (), 2)[1] == ()
-    moved = SignMatrix(8, H.rows[1:] + H.rows[:1])
-    assert _iterate_built((moved, rotation), D, (), 1)[1] == ()
+    rows = j_minus_2i(8).rows
+    for base, holds in ((rows, 1), (rows[1:] + rows[:1], 0)):
+        mat, proposed = _iterate_built((SignMatrix(8, base), rotation), D, (), 1)
+        assert proposed == ((7, 1, (0,)),)
+        distinct = list(dict.fromkeys(mat.rows))
+        assert len(matrices._permutations(distinct, mat.n, proposed)) == holds
     assert _iterate_built((H, ()), D, companion, 3)[1] == ((3, 1, (5, 8, 11)),)
     assert _iterate_built((H, ()), D, companion, 9)[1] == ((3, 1, tuple(range(2, 24, 3))),)
 

@@ -20,19 +20,12 @@ CPU speed drifts:
   compiles the package.  "bytecode_cached" points -X pycache_prefix at a
   temporary directory, so that every module is compiled once, there.
 
-The results go into BENCH_records.json under --label, next to the labels
-already in the file, so that one file holds the numbers before and after
-a change.  --src picks the package to measure, e.g. an export of the
-parent commit:
-
-    python tools/records_bench.py --label after
-    python tools/records_bench.py --src /path/to/parent/src --label before
+The results go into BENCH_records.json (see bench_file.py for the
+options).
 """
 
-import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -41,7 +34,8 @@ import time
 import timeit
 from fractions import Fraction
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+import bench_file
+
 MODULI = (2, 3, 4, 5, 6, 7, 8, 12)
 GRID = [(n, m) for m in MODULI for n in range(3, 151)]
 GRID += [(n, m) for n in range(3, 9) for m in range(2, 10)]
@@ -50,6 +44,12 @@ WARM_PASSES = 5
 IMPORT_SAMPLES = 21
 IMPORTTIME_SAMPLES = 7
 WATCHED = ("dataclasses", "inspect")
+ABOUT = (
+    "Costs of the package's records, written by tools/records_bench.py: the build "
+    "time of each record type, decide over the bench's classify grid (cold and warm), "
+    "and a fresh interpreter's import of the package with the -X importtime self "
+    "times; each a fastest or median over repeats on the machine named in the run."
+)
 
 # one pass over GRID per line of output: the time of each call in ns
 _DECIDE_CHILD = """
@@ -155,17 +155,7 @@ def import_costs(src, cache=None):
     }
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=os.path.join(ROOT, "src"),
-                    help="directory holding the modhadamard package")
-    ap.add_argument("--label", required=True, help="key of this run in the output")
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_records.json"))
-    args = ap.parse_args(argv)
-    src = os.path.abspath(args.src)
-    sys.path.insert(0, src)
-    import modhadamard as M
-
+def measure(M, src):
     results = {"records_us": records_us(M)}
     print("records", results["records_us"], flush=True)
     results["decide_us_per_call"] = decide_us(src)
@@ -177,26 +167,8 @@ def main(argv=None):
             "bytecode_cached": import_costs(src, cache),
         }
     print("import", results["import"], flush=True)
-    doc = {}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    doc["about"] = (
-        "Costs of the package's records, written by tools/records_bench.py: the build "
-        "time of each record type, decide over the bench's classify grid (cold and warm), "
-        "and a fresh interpreter's import of the package with the -X importtime self "
-        "times; each a fastest or median over repeats on the machine named in the run."
-    )
-    doc.setdefault("runs", {})[args.label] = {
-        "machine": "%s, %d cores, Python %s"
-        % (platform.machine(), os.cpu_count() or 0, platform.python_version()),
-        "date": time.strftime("%Y-%m-%d"),
-        "results": results,
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    return results
 
 
 if __name__ == "__main__":
-    main()
+    bench_file.main("records", ABOUT, measure)
