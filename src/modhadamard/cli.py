@@ -23,7 +23,7 @@ from .constructions import (
     plan,
     recipe_to_json,
 )
-from .existence import decide, gate_walk, verdict_to_json
+from .existence import NotApplicable, decide, gate_walk, small_case_test, verdict_to_json
 from .matrices import (
     DesignParams,
     SignMatrix,
@@ -202,20 +202,17 @@ def _cmd_search(args):
 
 def _cmd_nonexist(args):
     findings = {}
-    for step, finding, report in gate_walk(args.n, args.m):
+    for step, finding in gate_walk(args.n, args.m):
+        if step == "Constructed":  # the last step, and no gate
+            break
         if finding or step not in findings:  # at most one GcdBound half fires
             findings[step] = finding
-    # report is SmallOddDelta's, the last step's
-    recipe = findings.pop("Constructed")
     established = any(findings.values())  # exactly when decide says NotExists
-    # a Delta test that rejects (n, m) but does not fire, with no recipe,
-    # yields to the switching test
-    switching = (
-        not isinstance(report, str)
-        and not report.admissible
-        and recipe is None
-        and findings["SmallOddDelta"] is None
-    )
+    # the paper's Delta test, shown for information: decide does not consult it
+    try:
+        report = small_case_test(args.n, args.m)
+    except NotApplicable as exc:
+        report = str(exc)
     if args.format == "json":
         payload = {
             "established": established,
@@ -224,6 +221,7 @@ def _cmd_nonexist(args):
             "n": args.n,
             "quadratic_residue": findings["QuadNonResidue"],
             "small_even": findings["SmallEvenRealHadamard"],
+            "switching": findings["Switching"],
         }
         if isinstance(report, str):
             payload["delta_test"] = {"applicable": False, "why": report}
@@ -237,8 +235,6 @@ def _cmd_nonexist(args):
                 "sqrt_Delta": None
                 if report.sqrt_Delta is None
                 else _jint(report.sqrt_Delta),
-                "yields_to_construction": recipe is not None,
-                "yields_to_switching": switching,
             }
             if report.row_profile is not None:
                 alpha, beta, a, offset = report.row_profile
@@ -257,14 +253,11 @@ def _cmd_nonexist(args):
             "  small even reduction: %s"
             % (findings["SmallEvenRealHadamard"] or "no conclusion")
         )
+        print("  switching: %s" % (findings["Switching"] or "no obstruction"))
         if isinstance(report, str):
             print("  Delta test: not applicable (%s)" % report)
         else:
             word = "admissible" if report.admissible else "inadmissible"
-            if recipe is not None:
-                word += " (the test yields to the construction %s)" % recipe.node
-            elif switching:
-                word += " (the switching test admits (%d, %d))" % (args.n, args.m)
             if report.sqrt_Delta is None:
                 print("  Delta = %d (not a perfect square): %s" % (report.Delta, word))
             else:

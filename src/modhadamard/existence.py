@@ -1,10 +1,11 @@
 """Decision oracle for m-modular Hadamard matrix existence.
 
-decide(n, m) stacks the cheap necessary conditions, the small-case
-quadratic test and the construction planner into one auditable verdict.
-Every Exists verdict carries a certificate; every NotExists names the
-test that fired.  gate_walk is the one statement of the order in which
-decide consults them.
+decide(n, m) stacks the cheap necessary conditions, the switching gate
+and the construction planner into one auditable verdict.  Every Exists
+verdict carries a certificate; every NotExists names the test that
+fired.  gate_walk is the one statement of the order in which decide
+consults them.  small_case_test is the paper's quadratic row-count test,
+kept for reference; decide does not consult it.
 """
 
 from collections import namedtuple
@@ -91,17 +92,8 @@ def check_gcd_bound(n, m):
     return _gcd_divisibility(n, m) or _gcd_size(n, m)
 
 
-def _small_case_inapplicable(n, m):
-    """Why small_case_test does not apply to (n, m), or None."""
-    if m % 2 == 0:
-        return "even modulus"
-    if not search_mod._restricted_regime(n, m):
-        return "need odd n < 3m with gcd(n,m) = 1"
-    return None
-
-
 def small_case_test(n, m):
-    """Quadratic feasibility test for odd n < 3m.
+    """The paper's quadratic feasibility test for odd n < 3m.
 
     The row-counting argument pins the number of rows of each inner
     product sign to a root of a quadratic with discriminant Delta; the
@@ -110,15 +102,13 @@ def small_case_test(n, m):
 
     Unsound as coded: it rejects every n = m + 4 for odd m >= 5, where
     J - 2I is an MH(n, m), and (31, 11) and (57, 29), where J - 2N of
-    PG(2, 5) and PG(2, 7) is one.  decide consults it only after plan,
-    which builds the first family but not the second, and ignores every
-    rejection that the switching test admits (_switching_admits), such as
-    both families: 182 rejections with odd m < 400, the first (31, 11),
-    (43, 19), (67, 27) and (57, 29), become Unknown.
+    PG(2, 5) and PG(2, 7) is one.  decide does not consult it; its
+    Switching gate (_switching) is proved, and admits both families.
     """
-    why = _small_case_inapplicable(n, m)
-    if why:
-        raise NotApplicable(why)
+    if m % 2 == 0:
+        raise NotApplicable("even modulus")
+    if not search_mod._restricted_regime(n, m):
+        raise NotApplicable("need odd n < 3m with gcd(n,m) = 1")
     delta = (
         36 * m**4
         + m**3 * (4 - 28 * n)
@@ -153,26 +143,62 @@ def small_case_test(n, m):
     )
 
 
-def _switching_admits(n, m):
-    """The switching test for odd m, odd n < 3m and gcd(n, m) = 1: an
-    MH(n, m) needs n > m, n = m (mod 4) and nm + n - m a square.
+def _switching(n, m):
+    """The switching gate for odd m, odd n < 3m and gcd(n, m) = 1: an
+    MH(n, m) needs n > m, n = m (mod 4) and nm + n - m a square.  Returns
+    the condition that fails, or None; None outside that regime.
 
-    search.run's docstring shows that the matrix switches to the all-ones
-    row and n - 1 rows of one weight, every two at one distance, which
-    needs n = m (mod 4).  Its Gram matrix G = (n - m)I + mJ is then
-    positive semidefinite only for n >= m, and gcd(n, m) = 1 rules out
-    n = m.  For n > m the switched H is invertible, and
-    H^T H = (n - m)I + m ss^T / (nm + n - m) with s = H^T 1, whose
-    diagonal makes every column sum s_j satisfy s_j^2 = nm + n - m.
+    Every off-diagonal inner product of an MH(n, m) there is odd, a
+    multiple of m and of absolute value at most n < 3m, so it is s m with
+    a sign s = +-1.
+    - The triangle identity.  In each column three +-1 rows u, v, x
+      disagree in 0 or 2 of their three pairs, so
+      d(u, v) + d(u, x) + d(v, x) is even, d being the Hamming distance,
+      and as <u, v> = n - 2 d(u, v),
+      <u, v> + <u, x> + <v, x> = 3n (mod 4).  Three signs with product +1
+      sum to 3 or -1, so their products sum to 3m = -m (mod 4); with
+      product -1 they sum to 1 or -3, and the products to m (mod 4).  As
+      m is odd, 3m != m (mod 4).  So every sign triangle s_ij s_ik s_jk has
+      the product sigma = +1 when n = m (mod 4), and -1 otherwise.
+    - Switching.  Negating rows keeps an MH(n, m).  Multiply row i >= 1 by
+      e_i = sigma s_0i: the sign of (0, i) becomes sigma s_0i s_0i = sigma,
+      and that of (i, j) sigma^2 s_0i s_0j s_ij = sigma.  Negate the
+      columns where row 0 is -1, so that row 0 is all +1.  Every other row
+      then has inner product sigma m with row 0 and with each other: it
+      has weight w = (n - sigma m)/2, and every two rows differ in exactly
+      w places.  Conversely the all-ones row and n - 1 such rows form an
+      MH(n, m).  So an MH(n, m) exists exactly when n - 1 rows of weight w
+      over all n columns are pairwise at distance w.  w is even, as
+      n - sigma m = 0 (mod 4) for either sigma.
+    - n = m (mod 4).  Two rows of weight w at distance w share w/2 ones,
+      so they cover 3w/2 columns, and n >= 3 gives two such rows.  With
+      sigma = -1 that is 3(n + m)/4 > n, as n < 3m, so sigma = +1.
+    - The Gram matrix.  With sigma = +1 the switched H has
+      G = H H^T = (n - m)I + mJ, positive semidefinite only for n >= m,
+      and gcd(n, m) = 1 rules out n = m.  For n > m, G and H are
+      invertible and H^T G^-1 H = I, where
+      G^-1 = (I - mJ/(nm + n - m))/(n - m), so
+      H^T H = (n - m)I + m ss^T/(nm + n - m) with s = H^T 1.  Its diagonal
+      makes every column sum s_j satisfy s_j^2 = nm + n - m.
     """
-    return n > m and (n - m) % 4 == 0 and is_perfect_square(n * m + n - m) is not None
+    if not search_mod._restricted_regime(n, m):
+        return None
+    if n <= m:
+        return "n = %d <= m = %d" % (n, m)
+    if (n - m) % 4:
+        return "n = %d != m = %d (mod 4)" % (n, m)
+    if is_perfect_square(n * m + n - m) is None:
+        return "nm + n - m = %d is not a square" % (n * m + n - m)
+    return None
 
 
 def special_case_2m_plus_1(m):
-    """Feasibility of n = 2m + 1: m^2 + (m+1)^2 must be a perfect square."""
+    """Feasibility of n = 2m + 1: the Switching gate's square condition,
+    nm + n - m = m^2 + (m+1)^2 a perfect square."""
     if m < 3 or m % 2 == 0:
         raise NotApplicable("need odd m >= 3")
-    return is_perfect_square(m * m + (m + 1) * (m + 1)) is not None
+    n = 2 * m + 1
+    return is_perfect_square(n * m + n - m) is not None
 
 
 def small_even_reduction(n, m):
@@ -241,35 +267,25 @@ def _conjecture(n, m):
 
 def gate_walk(n, m):
     """decide's steps for MH(n, m) in decide's order: GcdBound (divisibility),
-    QuadNonResidue, GcdBound (size), SmallEvenRealHadamard, Constructed and
-    SmallOddDelta.
+    QuadNonResidue, GcdBound (size), SmallEvenRealHadamard, Switching and
+    Constructed.
 
-    Yields (step, finding, detail).  decide stops at the first finding that
-    is not None and reports its step: a gate's finding says why it fires,
-    Constructed's is plan(n, m).  SmallOddDelta's detail is its
-    SmallCaseReport, or why the test does not apply; it yields to a
-    construction, as a verified matrix outranks it, and to the proved
-    switching test (_switching_admits): it fires only when that test
-    refutes (n, m) as well.
+    Yields (step, finding).  decide stops at the first finding that is not
+    None and reports its step: a gate's finding says why it fires,
+    Constructed's is plan(n, m), so a refuted (n, m) builds no plan.  The
+    paper's Delta test (small_case_test) is not a step.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     if m < 2:
         raise ValueError("need m >= 2")
-    yield "GcdBound", _gcd_divisibility(n, m), None
+    yield "GcdBound", _gcd_divisibility(n, m)
     fires = n % 2 and m % 2 and gcd(n, m) == 1 and not is_quadratic_residue(n % m, m)
-    yield "QuadNonResidue", "n mod m is a quadratic nonresidue" if fires else None, None
-    yield "GcdBound", _gcd_size(n, m), None
-    yield "SmallEvenRealHadamard", small_even_reduction(n, m), None
-    recipe = plan(n, m)
-    yield "Constructed", recipe, None
-    why = _small_case_inapplicable(n, m)
-    if why:
-        yield "SmallOddDelta", None, why
-        return
-    report = small_case_test(n, m)
-    fires = recipe is None and not report.admissible and not _switching_admits(n, m)
-    yield "SmallOddDelta", "no admissible row count" if fires else None, report
+    yield "QuadNonResidue", "n mod m is a quadratic nonresidue" if fires else None
+    yield "GcdBound", _gcd_size(n, m)
+    yield "SmallEvenRealHadamard", small_even_reduction(n, m)
+    yield "Switching", _switching(n, m)
+    yield "Constructed", plan(n, m)
 
 
 def decide(n, m, search_cap=None):
@@ -286,7 +302,7 @@ def decide(n, m, search_cap=None):
     def verdict(status, reason=None, certificate=None, note=None):
         return Verdict(n, m, status, reason, certificate, _conjecture(n, m), note)
 
-    for step, finding, _ in gate_walk(n, m):
+    for step, finding in gate_walk(n, m):
         if finding is None:
             continue
         if step == "Constructed":

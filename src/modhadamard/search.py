@@ -319,28 +319,11 @@ def run(problem, max_n=None, log_branches=False):
     canonical second rows together cover every set that holds one, each
     once, so the branch of j* finds a solution.
 
-    Switching, in the restricted regime.  There every off-diagonal inner
-    product of an MH(n, m) is odd, a multiple of m and of absolute value
-    at most n < 3m, so it is s m with a sign s = +-1.
-    - The triangle identity.  In each column three +-1 rows u, v, x
-      disagree in 0 or 2 of their three pairs, so
-      d(u, v) + d(u, x) + d(v, x) is even, d being the Hamming distance,
-      and as <u, v> = n - 2 d(u, v),
-      <u, v> + <u, x> + <v, x> = 3n (mod 4).  Three signs with product +1
-      sum to 3 or -1, so their products sum to 3m = -m (mod 4); with
-      product -1 they sum to 1 or -3, and the products to m (mod 4).  As
-      m is odd, 3m != m (mod 4).  So every sign triangle s_ij s_ik s_jk has
-      the product sigma = +1 when n = m (mod 4), and -1 otherwise.
-    - Switching.  Negating rows keeps an MH(n, m).  Multiply row i >= 1 by
-      e_i = sigma s_0i: the sign of (0, i) becomes sigma s_0i s_0i = sigma,
-      and that of (i, j) sigma^2 s_0i s_0j s_ij = sigma.  Negate the
-      columns where row 0 is -1, so that row 0 is all +1.  Every other row
-      then has inner product sigma m with row 0 and with each other: it
-      has weight w = (n - sigma m)/2, and every two rows differ in exactly
-      w places.  Conversely the all-ones row and n - 1 such rows form an
-      MH(n, m).  So an MH(n, m) exists exactly when n - 1 rows of weight w
-      over all n columns are pairwise at distance w.  w is even, as
-      n - sigma m = 0 (mod 4) for either sigma.
+    Switching, in the restricted regime.  By the switching lemma, in the
+    docstring of existence._switching, an MH(n, m) there exists exactly
+    when n - 1 rows of weight w = (n - sigma m)/2 over all n columns are
+    pairwise at distance w, where sigma = +1 when n = m (mod 4) and -1
+    otherwise; w is even.  The search looks for such rows.
     - The canonical rows.  Every permutation of the n columns keeps
       weights and distances.  Any row of weight w maps to
       c0 = (1 << w) - 1.  The stabilizer of c0 permutes [0, w) and [w, n)
@@ -351,10 +334,9 @@ def run(problem, max_n=None, log_branches=False):
       distance w from both has w/2 columns in c0 and w/2 in c1, so it has
       b, w/2 - b, w/2 - b and b columns in those blocks, and it maps to its
       class's canonical third row _canonical(x, bounds): the lowest
-      columns of each block.  When n != m (mod 4), w = (n + m)/2 and
-      [w, n) has (n - m)/2 < w/2 columns, as n < 3m, so no row is at
-      distance w from c0: the pool is empty and the instance is refuted
-      with no DFS.
+      columns of each block.  When n != m (mod 4) no row is at distance
+      w from c0 (the lemma's step "n = m (mod 4)"): the pool is empty and
+      the instance is refuted with no DFS.
     - Coverage.  A solution maps to one holding c0, then c1, then a
       canonical third row, so its other n - 3 rows are a pairwise
       compatible set of the pool (the rows at distance w from c0 and c1,

@@ -248,7 +248,7 @@ def test_nonexist_command(capsys):
 
 def test_nonexist_is_decides_gate_verdict(capsys):
     # nonexist walks decide's gates, so it refutes exactly what decide
-    # refutes, and a construction outranks the Delta test
+    # refutes
     parser = cli._build_parser()
     for m in range(2, 31):
         for n in range(3, 201):
@@ -258,21 +258,25 @@ def test_nonexist_is_decides_gate_verdict(capsys):
             refuted = decide(n, m).status == "NotExists"
             assert doc["established"] is refuted, (n, m)
             assert code == (1 if refuted else 2), (n, m)
-    # J - 2I exists at n = m + 4 although the Delta test rejects it
-    for n, m in ((11, 7), (9, 5)):
+    # the Delta test is shown for information only: it yields to nothing,
+    # and J - 2I (n = m + 4) and J - 2N of PG(2, 5) pass the switching gate
+    words = {(7, 3): "admissible", (11, 7): "inadmissible", (31, 11): "inadmissible"}
+    for (n, m), word in words.items():
         code, out, _ = run_cli(capsys, "nonexist", str(n), str(m))
-        assert code == 2
-        assert "inadmissible (the test yields to the construction JMinus2I)" in out
+        assert code == 2, (n, m)
+        assert "  switching: no obstruction\n" in out
+        assert ": %s\n" % word in out and "yields" not in out, (n, m)
         assert "established: no" in out
-    # J - 2N of PG(2, 5) is an MH(31, 11): the Delta test yields to switching
-    code, out, _ = run_cli(capsys, "nonexist", "31", "11")
-    assert code == 2
-    assert "inadmissible (the switching test admits (31, 11))" in out
-    code, out, _ = run_cli(capsys, "nonexist", "31", "11", "--format", "json")
-    delta = json.loads(out)["delta_test"]
-    assert delta["yields_to_switching"] is True and delta["admissible"] is False
+        code, out, _ = run_cli(capsys, "nonexist", str(n), str(m), "--format", "json")
+        doc = json.loads(out)
+        assert doc["switching"] is None and "yields" not in out, (n, m)
+        assert doc["delta_test"]["admissible"] is (word == "admissible")
+    code, out, _ = run_cli(capsys, "nonexist", "15", "7")
+    assert code == 1
+    assert "  switching: nm + n - m = 113 is not a square\n" in out
     code, out, _ = run_cli(capsys, "nonexist", "15", "7", "--format", "json")
-    assert json.loads(out)["delta_test"]["yields_to_switching"] is False
+    assert code == 1
+    assert json.loads(out)["switching"] == "nm + n - m = 113 is not a square"
     code, out, _ = run_cli(capsys, "nonexist", "27", "7")
     assert code == 1
     assert "quadratic residue: n mod m is a quadratic nonresidue" in out

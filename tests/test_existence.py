@@ -3,7 +3,7 @@ import json
 import re
 from fractions import Fraction
 from importlib import resources
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -149,10 +149,10 @@ def test_decide_rejects_bad_domain():
         decide(9, 0)
 
 
-def test_decide_small_odd_delta():
+def test_decide_small_odd_switching():
     v = decide(15, 7)
     assert v.status == "NotExists"
-    assert v.reason == "SmallOddDelta"
+    assert v.reason == "Switching"  # 15 * 7 + 15 - 7 = 113 is not a square
 
 
 def test_delta_test_never_overrides_a_construction():
@@ -183,15 +183,32 @@ def test_decide_does_not_refute_singer_matrices(v, m):
     assert decide(v, m).status != "NotExists"
 
 
-def test_small_odd_delta_never_contradicts_switching():
-    # an MH(n, m) with odd m, odd n < 3m and gcd(n, m) = 1 needs n > m,
-    # n = m (mod 4) and nm + n - m a square (see search.run); SmallOddDelta
-    # refutes only where one of these fails
+def test_switching_gate_refutes_what_the_delta_step_refuted():
+    # decide's Switching gate replaced a Delta step that refuted (n, m)
+    # when plan built nothing, small_case_test was inadmissible and the
+    # switching conditions failed.  The gate never refutes what plan
+    # builds, and each (n, m) it is the first to refute has an
+    # inadmissible Delta, so the two refute the same instances
+    refuted = 0
     for m in range(3, 400, 2):
         for n in range(3, 3 * m, 2):
-            if decide(n, m).reason == "SmallOddDelta":
-                r = isqrt(n * m + n - m)
-                assert n <= m or (n - m) % 4 or r * r != n * m + n - m, (n, m)
+            if existence._switching(n, m) is None:
+                continue
+            assert plan(n, m) is None, (n, m)
+            if next(s for s, f in gate_walk(n, m) if f is not None) == "Switching":
+                assert not small_case_test(n, m).admissible, (n, m)
+                refuted += 1
+    assert refuted == 5861
+
+
+def test_decide_does_not_consult_the_delta_test(monkeypatch):
+    def refuse(n, m):
+        raise AssertionError("small_case_test on the verdict path")
+
+    monkeypatch.setattr(existence, "small_case_test", refuse)
+    for m in range(2, 60):
+        for n in range(3, 4 * m):
+            decide(n, m)
 
 
 def test_gate_walk_is_decides_order():
@@ -200,7 +217,7 @@ def test_gate_walk_is_decides_order():
         for n in range(3, 201):
             found = [
                 (step, finding)
-                for step, finding, _ in gate_walk(n, m)
+                for step, finding in gate_walk(n, m)
                 if finding is not None
             ]
             v = decide(n, m)
@@ -213,21 +230,21 @@ def test_gate_walk_is_decides_order():
                 assert v.status == "Exists" and v.certificate == finding
             else:
                 assert v.status == "NotExists"
-    steps = [step for step, _, _ in gate_walk(11, 7)]
-    assert steps == [
+    walk = list(gate_walk(11, 7))
+    assert [step for step, _ in walk] == [
         "GcdBound",
         "QuadNonResidue",
         "GcdBound",
         "SmallEvenRealHadamard",
+        "Switching",
         "Constructed",
-        "SmallOddDelta",
     ]
-    *_, (_, finding, report) = gate_walk(11, 7)
-    assert finding is None and not report.admissible  # yields to J - 2I
-    *_, (_, finding, report) = gate_walk(15, 7)
-    assert finding is not None and report.Delta == 88592
-    *_, (_, finding, why) = gate_walk(15, 8)
-    assert finding is None and why == "even modulus"
+    assert walk[-2] == ("Switching", None)  # 77 + 4 = 81 = 9^2
+    assert walk[-1][1].node == "JMinus2I"
+    switching = dict(gate_walk(15, 7))["Switching"]
+    assert switching == "nm + n - m = 113 is not a square"
+    assert dict(gate_walk(13, 7))["Switching"] == "n = 13 != m = 7 (mod 4)"
+    assert dict(gate_walk(15, 8))["Switching"] is None  # even modulus
     with pytest.raises(ValueError):
         list(gate_walk(9, 1))
 
@@ -239,7 +256,7 @@ def test_gate_walk_settles_every_searchable_regime_instance():
     for n in range(3, MAX_N_RESTRICTED + 1, 2):
         for m in range(3, 3 * n + 1, 2):
             if n < 3 * m and gcd(n, m) == 1:
-                assert any(f is not None for _, f, _ in gate_walk(n, m)), (n, m)
+                assert any(f is not None for _, f in gate_walk(n, m)), (n, m)
                 if m > n:
                     assert check_gcd_bound(n, m) is not None, (n, m)
 
@@ -311,7 +328,7 @@ def test_decide_verdicts_are_pinned_byte_for_byte():
             line = json.dumps(verdict_to_json(decide(n, m)), sort_keys=True) + "\n"
             digest.update(line.encode())
     assert digest.hexdigest() == (
-        "6140e28540053b75075a47a640cb524bf2b6105e7242e80b5aad4a91fa8a897a"
+        "493ca2568ae8d398a1e7bbf74cf5659428946055db2b2e684f60de1056e00bb3"
     )
 
 
@@ -398,11 +415,11 @@ def test_real_hadamard_orders_have_exact_certificates():
 
 def test_schema_reason_enum_matches_decide():
     # the verdict schema names exactly the reasons decide returns,
-    # SmallOddDelta among them
+    # Switching among them
     text = resources.files("modhadamard.data").joinpath("verdict.schema.json").read_text()
     enum = json.loads(text)["properties"]["reason"]["enum"]
     reasons = {decide(n, m).reason for n in range(3, 61) for m in range(2, 31)}
-    assert decide(15, 7).reason == "SmallOddDelta"
+    assert decide(15, 7).reason == "Switching"
     assert sorted(reasons) == sorted(enum)
 
 

@@ -188,7 +188,7 @@ def test_two_level_reduction_agrees_at_orders_13_and_15():
     """The restricted instances past the n <= 11 grid above: the reduced
     exhaust against the unreduced one, and against decide's gates where
     the unreduced traversal visits tens of millions of nodes."""
-    gates = {(13, 5): "QuadNonResidue", (15, 7): "SmallOddDelta"}
+    gates = {(13, 5): "QuadNonResidue", (15, 7): "Switching"}
     for n, m in _restricted_instances(15):
         if n < 13:
             continue
