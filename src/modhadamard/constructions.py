@@ -35,7 +35,7 @@ from .matrices import (
     verify_design,
     verify_mh,
 )
-from .numtheory import _half_pow, is_prime, is_prime_power, repunit
+from .numtheory import half_pow_coeff, is_prime, is_prime_power, repunit
 
 __all__ = [
     "CapExceeded",
@@ -475,7 +475,7 @@ def check_constraints_1_to_4(params, p, n, parity=(4, 3)):
         raise ValueError("the residue conditions need an odd modulus p >= 3, got %r" % p)
     if pm < 1:
         raise ValueError("the parity modulus must be >= 1, got %r" % pm)
-    c = _half_pow(p)
+    c = half_pow_coeff(p)
     return {
         "parity": params.v % pm == pr % pm,
         "v_mod_p": params.v % p == 1,
@@ -821,15 +821,14 @@ _REACH_LIMIT = 10**8
 def _exact_order_recipe(n):
     """A modulus-0 recipe of order n from the bundled seeds, if one is known.
 
-    Known pool: order 4, Paley orders q + 1 for prime q = 4t + 3, the
-    bundled order-36 design, and closure under doubling and Kronecker
-    products.  Misses some orders (28, 52, ...) whose Hadamard matrices
-    need other methods.
+    Known pool: Paley orders q + 1 for prime q = 4t + 3, the bundled
+    order-36 design, and closure under doubling and Kronecker products.
+    plan serves order 4 as J - 2I, at every modulus, before it asks here.
+    Misses some orders (28, 52, ...) whose Hadamard matrices need other
+    methods.
     """
     if n < 4 or n % 4 or n > _REACH_LIMIT:
         return None
-    if n == 4:
-        return seed_j_minus_2i(4)
     if is_prime(n - 1)[0]:
         return seed_paley(n - 1)
     if n == 36:

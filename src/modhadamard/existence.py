@@ -15,7 +15,7 @@ from math import gcd, isqrt, lcm
 from . import search as search_mod
 from ._record import Record
 from .constructions import _chain, _family10_giant, plan, recipe_to_json
-from .numtheory import _half_pow, is_perfect_square, is_prime, is_quadratic_residue
+from .numtheory import half_pow_coeff, is_perfect_square, is_prime, is_quadratic_residue
 
 __all__ = [
     "NotApplicable",
@@ -75,7 +75,7 @@ def _gcd_size(n, m):
     # an even m already fails the divisibility half for odd n
     if n % 2 == 0 or m % 2 == 0 or n % m == 0:
         return None
-    r = _half_pow(m) * n % m
+    r = half_pow_coeff(m) * n % m
     if n < 4 * r:
         return "r = %d forces n >= %d, but n = %d" % (r, 4 * r, n)
     return None

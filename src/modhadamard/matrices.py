@@ -16,7 +16,6 @@ from math import gcd
 from operator import and_, xor
 
 from ._record import Record
-from .numtheory import _half_pow
 
 __all__ = [
     "SignMatrix",
@@ -27,6 +26,7 @@ __all__ = [
     "GramReport",
     "residue",
     "verify_mh",
+    "offdiag_residues",
     "verify_design",
     "normalize",
     "is_normalized",
@@ -148,52 +148,11 @@ class DesignParams(Record, namedtuple("DesignParams", "v k lam modulus")):
         return tuple.__new__(cls, (v, k, lam, modulus))
 
 
-class GramReport:
-    """Outcome of verify_mh.  offdiag_residues, the key-sorted histogram of
-    the off-diagonal inner products at the modulus, is counted from the
-    stored rows the first time it is read.  Immutable; the rows are left
-    out of its equality and its repr."""
+class GramReport(Record, namedtuple("GramReport", "modulus verdict")):
+    """Outcome of verify_mh: verdict says whether H H^T = nI at the
+    modulus.  offdiag_residues(H, m) counts the residues themselves."""
 
-    __slots__ = ("modulus", "diagonal_ok", "verdict", "rows", "_residues")
-
-    def __init__(self, modulus, diagonal_ok, verdict, rows):
-        put = object.__setattr__
-        put(self, "modulus", modulus)
-        put(self, "diagonal_ok", diagonal_ok)
-        put(self, "verdict", verdict)
-        put(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GramReport is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GramReport is immutable")
-
-    def _key(self):
-        return self.modulus, self.diagonal_ok, self.verdict
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is GramReport else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "GramReport(modulus=%r, diagonal_ok=%r, verdict=%r)" % self._key()
-
-    @property
-    def offdiag_residues(self):
-        try:
-            return self._residues
-        except AttributeError:  # not counted yet
-            pass
-        n = len(self.rows)
-        if self.verdict:
-            counts = {0: n * (n - 1) // 2} if n > 1 else {}
-        else:
-            counts = _residue_histogram(self.rows, n, self.modulus)
-        object.__setattr__(self, "_residues", dict(sorted(counts.items())))
-        return self._residues
+    __slots__ = ()
 
 
 def _orthogonal_popcounts(n, m):
@@ -292,8 +251,8 @@ def _orbits(rows, perms):
 def verify_mh(H, m, rotations=()):
     """Gram check: does H H^T equal nI at the modulus?
 
-    Returns a GramReport; .verdict is the answer.  The off-diagonal residue
-    histogram is built only if .offdiag_residues is read.
+    Returns a GramReport; .verdict is the answer.  The check stops at the
+    first failing pair and counts no residues; offdiag_residues does.
 
     Copies of one row have inner product n, so they pass against each
     other exactly when n = 0 at the modulus; then each pair of distinct
@@ -316,7 +275,6 @@ def verify_mh(H, m, rotations=()):
     if m < 0 or m == 1:
         raise ValueError("modulus must be 0 (exact) or >= 2")
     n = H.n
-    diagonal_ok = True  # <r, r> = n identically for sign rows
     distinct = list(dict.fromkeys(H.rows))
     allowed = _orthogonal_popcounts(n, m)
     passed = len(distinct) == n or 0 in allowed
@@ -325,17 +283,21 @@ def verify_mh(H, m, rotations=()):
         rows = [r for orbit in orbits for r in orbit]
         starts = accumulate(map(len, orbits), initial=1)
         passed = _every_pair([o[0] for o in orbits], rows, starts, xor, allowed)
-    return GramReport(m, diagonal_ok, diagonal_ok and passed, H.rows)
+    return GramReport(m, passed)
 
 
-def _residue_histogram(rows, n, m):
-    """Off-diagonal inner-product residues of every pair of rows."""
+def offdiag_residues(H, m):
+    """The inner products of H's pairs of rows i < j at the modulus, as a
+    histogram {residue: pairs} sorted by residue; counted on every call."""
+    if m < 0 or m == 1:
+        raise ValueError("modulus must be 0 (exact) or >= 2")
+    n, rows = H.n, H.rows
     table = [residue(n - 2 * c, m) for c in range(n + 1)]
     counts = Counter()
     for i, ri in enumerate(rows):
         xors = map(ri.__xor__, rows[i + 1 :])
         counts.update(map(table.__getitem__, map(int.bit_count, xors)))
-    return counts
+    return dict(sorted(counts.items()))
 
 
 def verify_design(D, params):
@@ -490,7 +452,9 @@ def core_to_design(H, m):
         raise ValueError("matrix is not normalized")
     if not verify_mh(H, m).verdict:
         raise ValueError("matrix fails verification at modulus %d" % m)
-    half = _half_pow(m)  # phi(m) >= 2 whenever m >= 3
+    # m is odd: were m even, gcd(n, m) = 1 would make n odd, and the odd
+    # inner products of an odd order would have failed the check above
+    half = pow(4, -1, m)
     k = 2 * half * (n - 2) % m
     lam = half * (n - 4) % m
     return _core(H), DesignParams(n - 1, k, lam, m)

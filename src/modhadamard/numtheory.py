@@ -235,16 +235,11 @@ def mod_inverse(a, m):
     return pow(a, -1, m)
 
 
-def _half_pow(m):
-    """2**(phi(m)-2) mod m for m >= 3, even or odd; 1/4 mod m for odd m."""
-    return pow(2, euler_phi(m) - 2, m)
-
-
 def half_pow_coeff(m):
-    """2**(phi(m)-2) mod m for odd m >= 3; equals the inverse of 4 mod m."""
+    """The paper's 2**(phi(m)-2) mod m for odd m >= 3: the inverse of 4."""
     if m < 3 or m % 2 == 0:
         raise ValueError("need odd m >= 3")
-    return _half_pow(m)
+    return pow(4, -1, m)
 
 
 def _is_qr_odd_prime_power(n, p, k):

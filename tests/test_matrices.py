@@ -23,6 +23,7 @@ from modhadamard import (
     materialize,
     mh_modulus_of_exact_design,
     normalize,
+    offdiag_residues,
     paley_design,
     paley_hadamard,
     parse_matrix_text,
@@ -53,18 +54,20 @@ MODULI = [0] + list(range(2, 13))
 
 
 def reference_gram(H, m):
-    """verify_mh's fields, one pair of rows at a time."""
+    """gram_fields, one pair of rows at a time."""
     n = H.n
     counts = {}
     for i in range(n):
         for j in range(i + 1, n):
             r = residue(H.row_inner(i, j), m)
             counts[r] = counts.get(r, 0) + 1
-    return (m, True, dict(sorted(counts.items())), set(counts) <= {0})
+    return (m, dict(sorted(counts.items())), set(counts) <= {0})
 
 
-def gram_fields(report):
-    return (report.modulus, report.diagonal_ok, report.offdiag_residues, report.verdict)
+def gram_fields(H, m, rotations=()):
+    """verify_mh's fields, with the histogram of offdiag_residues."""
+    report = verify_mh(H, m, rotations)
+    return (report.modulus, offdiag_residues(H, m), report.verdict)
 
 
 def reference_kron(H1, H2):
@@ -131,9 +134,8 @@ def test_verify_mh_rejects_modulus_one():
 
 def test_gram_report_residues():
     report = verify_mh(all_ones(7), 5)
-    assert report.diagonal_ok is True
-    assert report.offdiag_residues == {2: 21}  # every pair has inner product 7
-    assert report.verdict is False
+    assert offdiag_residues(all_ones(7), 5) == {2: 21}  # every pair has inner product 7
+    assert report.modulus == 5 and report.verdict is False
 
 
 def test_verify_mh_matches_pairwise_reference():
@@ -146,11 +148,11 @@ def test_verify_mh_matches_pairwise_reference():
         pool = [rng.getrandbits(n) for _ in range(rng.randint(1, n))]
         H = SignMatrix(n, tuple(rng.choice(pool) for _ in range(n)))
         m = rng.choice(MODULI)
-        got = gram_fields(verify_mh(H, m))
+        got = gram_fields(H, m)
         want = reference_gram(H, m)
         assert got == want, (H, m)
-        assert list(got[2]) == list(want[2])
-        verdicts.add((n == 1, got[3]))
+        assert list(got[1]) == list(want[1])
+        verdicts.add((n == 1, got[2]))
     assert verdicts == {(True, True), (False, True), (False, False)}
 
 
@@ -158,21 +160,21 @@ def test_verify_mh_matches_reference_on_verified_pool():
     pool = verified_pool()
     for H, _ in pool:
         for m in MODULI:
-            assert gram_fields(verify_mh(H, m)) == reference_gram(H, m)
+            assert gram_fields(H, m) == reference_gram(H, m)
 
 
 def test_verify_mh_all_ones():
     for n in range(1, 40):
         pairs = n * (n - 1) // 2
         for m in MODULI:
-            report = verify_mh(all_ones(n), m)
-            assert gram_fields(report) == reference_gram(all_ones(n), m)
+            _, residues, verdict = got = gram_fields(all_ones(n), m)
+            assert got == reference_gram(all_ones(n), m)
             if n == 1 or residue(n, m) == 0:
-                assert report.verdict is True
-                assert report.offdiag_residues == ({0: pairs} if pairs else {})
+                assert verdict is True
+                assert residues == ({0: pairs} if pairs else {})
             else:
-                assert report.verdict is False
-                assert report.offdiag_residues == {residue(n, m): pairs}
+                assert verdict is False
+                assert residues == {residue(n, m): pairs}
 
 
 def test_orbit_reduction_matches_unreduced_check():
@@ -199,9 +201,9 @@ def test_orbit_reduction_matches_unreduced_check():
             rows[rng.randrange(H.n)] ^= 1 << rng.randrange(H.n)
         H = SignMatrix(H.n, tuple(rows))
         m = rng.choice(MODULI)
-        got = gram_fields(verify_mh(H, m))
+        got = gram_fields(H, m)
         assert got == reference_gram(H, m), (H, m)
-        seen.add(got[3])
+        seen.add(got[2])
     assert seen == {False, True}
 
 
@@ -304,11 +306,11 @@ def test_orbit_reduction_with_rotations_matches_unreduced_check():
             rows[i] ^= 1 << rng.randrange(H.n)
         H = SignMatrix(H.n, tuple(rows))
         m = rng.choice(MODULI)
-        got = gram_fields(verify_mh(H, m, rotations))
+        got = gram_fields(H, m, rotations)
         assert got == reference_gram(H, m), (H, m, rotations)
         kept = len(_kept_maps(H, rotations))
         dropped += len(rotations) - kept
-        seen.add((kept > 0, got[3]))
+        seen.add((kept > 0, got[2]))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
     assert dropped > 100
 
@@ -333,31 +335,24 @@ def test_iterate_proposes_the_rotations_off_the_columns_that_left():
 
 
 def test_histogram_built_on_demand(monkeypatch):
-    real = matrices._residue_histogram
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(matrices, "_residue_histogram", counting)
+    # verify_mh never counts the residues, not even for a failing matrix
     # order 200 at m = 5: the copies of row 0 pass, the flipped entry fails
     rows = list(materialize(plan(200, 5)).rows)
     rows[1:9] = [rows[0]] * 8
     rows[50] ^= 1 << 17
     paley = list(paley_hadamard(19).rows)
     paley[3] ^= 1 << 5
-    for H, m in ((SignMatrix(200, tuple(rows)), 5), (SignMatrix(20, tuple(paley)), 0)):
-        calls.clear()
-        report = verify_mh(H, m)
-        assert report.verdict is False
-        assert calls == []
-        want = reference_gram(H, m)
-        assert gram_fields(report) == want
-        assert list(report.offdiag_residues) == list(want[2])
-        assert len(calls) == 1
-        report.offdiag_residues
-        assert len(calls) == 1
+    cases = ((SignMatrix(200, tuple(rows)), 5), (SignMatrix(20, tuple(paley)), 0))
+
+    def refuse(H, m):
+        raise AssertionError("verify_mh counted the residues")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(matrices, "offdiag_residues", refuse)
+        assert [verify_mh(H, m).verdict for H, m in cases] == [False, False]
+    for H, m in cases:
+        got, want = offdiag_residues(H, m), reference_gram(H, m)[1]
+        assert got == want and list(got) == list(want)
 
 
 def test_kron_matches_blockwise_reference():

@@ -159,6 +159,9 @@ def test_mod_inverse():
 def test_half_pow_coeff_equals_inverse_of_four():
     for m in range(3, 200, 2):
         assert half_pow_coeff(m) == mod_inverse(4, m)
+    # the paper's form: 2^phi(m) = 1, so 2^(phi(m) - 2) = 1/4 at odd m
+    for m in range(3, 2000, 2):
+        assert half_pow_coeff(m) == pow(2, euler_phi(m) - 2, m), m
 
 
 def test_is_perfect_square_returns_root():

@@ -72,13 +72,17 @@ def record_samples(M):
     from modhadamard.constructions import Family10Params, Family11Params, Recipe
 
     ones = Recipe("AllOnes", (3,), (), 3, 3, "mh")
+    gram = {"modulus": 3, "diagonal_ok": True, "verdict": True, "rows": (0, 5, 6)}
+    # a GramReport with no _fields is the earlier hand-written class, which
+    # also took diagonal_ok and the rows, so --src can measure it as well
+    fields = getattr(M.GramReport, "_fields", ("modulus", "diagonal_ok", "verdict", "rows"))
     return [
         (M.PrimePower, (3, 2, False)),
         (M.Condition1Witness, (3, 1, 7, 4, 400, 20, 2, False)),
         (M.SignMatrix, (4, (0, 10, 12, 6))),
         (M.IncidenceMatrix, (4, (1, 3, 7, 15))),
         (M.DesignParams, (7, 3, 1, 0)),
-        (M.GramReport, (3, True, True, (0, 5, 6))),
+        (M.GramReport, tuple(gram[name] for name in fields)),
         (Family10Params, (3, 2, 1, 4, 13, 4, 1, True)),
         (Family11Params, (3, 1, 7, 3, 1)),
         (Recipe, ("Double", (), (ones,), 6, 6, "mh")),
