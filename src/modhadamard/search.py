@@ -15,6 +15,7 @@ every two at distance w, and fixes three of them up to a permutation of
 the columns (see run).
 """
 
+import hashlib
 from collections import Counter, namedtuple
 from itertools import product
 from math import comb, gcd
@@ -130,6 +131,13 @@ def _weight_rows(bits, w):
         r = x + c
         x = r | (r ^ x) >> (c.bit_length() + 1)
     return out
+
+
+def _candidate_digest(cands):
+    h = hashlib.sha256()
+    for c in cands:
+        h.update(c.to_bytes(8, "little"))
+    return h.hexdigest()
 
 
 def _compat_mask(order, n, ok):
@@ -372,8 +380,9 @@ def run(problem, max_n=None, log_branches=False):
         raise LimitExceeded(msg)
     cands = candidate_rows(n, m, problem.mode)
     k = len(cands)
+    outcome_log = {"candidate_digest": _candidate_digest(cands)}
     if k == 0:
-        return SearchOutcome(None, True, 0, 0, 0)
+        return SearchOutcome(None, True, 0, 0, 0, outcome_log)
     ok = _orthogonal_popcounts(n, m)
     # a row may repeat exactly when it is compatible with itself, i.e.
     # <r, r> = n vanishes at the modulus
@@ -512,11 +521,12 @@ def run(problem, max_n=None, log_branches=False):
         if witness:  # the lex-least witness, by the unreduced first pass
             best, first_nodes, _ = full("first")
             nodes += first_nodes
+    if log_branches:
+        outcome_log["branches"] = branch_records
     found = None
     if best is not None:
         found = SignMatrix(n, (0,) + tuple(best))
         if not verify_mh(found, m).verdict:
             raise AssertionError("search produced an invalid witness")
     exhausted = problem.goal != "first" or found is None
-    log = {"branches": branch_records} if log_branches else {}
-    return SearchOutcome(found, exhausted, nodes, k, total, log)
+    return SearchOutcome(found, exhausted, nodes, k, total, outcome_log)

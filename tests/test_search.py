@@ -118,6 +118,7 @@ def test_count_goal():
 def test_determinism_and_digest():
     a = run(SearchProblem(11, 5, "restricted", "exhaust"))
     b = run(SearchProblem(11, 5, "restricted", "exhaust"))
+    assert a.log["candidate_digest"] == b.log["candidate_digest"]
     assert a.nodes_visited == b.nodes_visited
     assert a.exhausted == b.exhausted
 
@@ -176,6 +177,7 @@ def test_symmetry_reduction_agrees_with_full_search():
         assert (on.found is None) == (off.found is None), (n, m, mode)
         for out in (on, off):
             assert out.found is None or verify_mh(out.found, m).verdict
+        assert on.log["candidate_digest"] == off.log["candidate_digest"]
         if on.found is None and on.candidate_row_count:
             refuted += 1
             assert on.nodes_visited < off.nodes_visited, (n, m, mode)
