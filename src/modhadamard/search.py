@@ -62,6 +62,8 @@ class SearchProblem(
         self = super().__new__(cls, *args, **kwargs)
         if self.n < 2:
             raise ValueError("order must be >= 2")
+        if self.m < 2:
+            raise ValueError("modulus must be >= 2")
         if self.mode not in ("generic", "restricted"):
             raise ValueError("mode must be generic or restricted")
         if self.goal not in ("first", "count", "exhaust"):
@@ -102,14 +104,12 @@ def candidate_rows(n, m, mode):
     Bit j set means -1 in column j; bit 0 is always clear (leading +1).
     A row of weight w (its number of -1 entries) is admitted when n - 2w,
     its inner product with the first row, vanishes modulo m.  Mode
-    "restricted" only checks that (n, m) is in the regime.
+    "restricted" only checks that (n, m) is in the regime.  run reads this
+    list only in the unreduced traversal, the count, the generic reduced
+    search and the first-witness pass after a witness; the switched search
+    of the restricted regime never does.
     """
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    if mode == "restricted":
-        SearchProblem(n, m, mode="restricted")  # validate the regime
-    elif mode != "generic":
-        raise ValueError("unknown mode %r" % mode)
+    SearchProblem(n, m, mode)  # validate the order, modulus, mode and regime
     # weight n, when admitted, has no row with bit 0 clear
     weights = _orthogonal_popcounts(n, m)
     return sorted(x << 1 for w in weights for x in _weight_rows(n - 1, w))
@@ -289,6 +289,15 @@ def run(problem, max_n=None, log_branches=False):
     is beyond max_n, which defaults to the instance's cap:
     MAX_N_RESTRICTED in the restricted regime, MAX_N_GENERIC outside.
 
+    candidate_row_count is the number of candidate_rows(n, m, mode), the
+    sum of C(n - 1, w) over the admitted weights w.  The list itself is
+    built only by the paths that read it: the unreduced traversal, the
+    count, the reduced search outside the restricted regime and the
+    unreduced "first" pass after a witness.  The switched search reads no
+    list, so a restricted "exhaust", or a "first" that finds no witness,
+    builds none.  The log holds "candidate_digest", a SHA-256 of the list,
+    exactly when the run built it.
+
     Soundness of the two-level reduction, which "first" and "exhaust" use
     outside the restricted regime and "count" everywhere.  A row is
     admitted by its weight alone, and two rows a, b are compatible exactly
@@ -378,16 +387,21 @@ def run(problem, max_n=None, log_branches=False):
         where = "in" if regime else "outside"
         msg = "n=%d exceeds limit %d %s the restricted regime" % (n, max_n, where)
         raise LimitExceeded(msg)
-    cands = candidate_rows(n, m, problem.mode)
-    k = len(cands)
-    outcome_log = {"candidate_digest": _candidate_digest(cands)}
+    ok = _orthogonal_popcounts(n, m)
+    k = sum(comb(n - 1, w) for w in ok)  # weight n adds 0
+    outcome_log = {}
     if k == 0:
         return SearchOutcome(None, True, 0, 0, 0, outcome_log)
-    ok = _orthogonal_popcounts(n, m)
     # a row may repeat exactly when it is compatible with itself, i.e.
     # <r, r> = n vanishes at the modulus
     allow_repeat = 0 in ok
     branch_records = []
+
+    def listed():
+        """The candidate list, its digest logged."""
+        cands = candidate_rows(n, m, problem.mode)
+        outcome_log["candidate_digest"] = _candidate_digest(cands)
+        return cands
 
     def traverse(order, starts, goal, need, repeat, fixed=(), label=None, dist=ok):
         """DFS from each start over `order` for sets of `need` rows, below
@@ -425,16 +439,18 @@ def run(problem, max_n=None, log_branches=False):
             order, range(len(heads)), "first", need, repeat, fixed, label, dist
         )
 
-    def full(goal):
+    def full(cands, goal):
         return traverse(cands, range(k), goal, n - 1, allow_repeat)
 
     def compatible(c, rows):
         """The rows of `rows` compatible with c, in their order."""
         return [x for x in rows if (x ^ c).bit_count() in ok]
 
-    # the canonical first rows, each with the number of candidates of its weight
-    firsts = Counter(((1 << c.bit_count()) - 1) << 1 for c in cands)
-    reps = sorted(firsts)
+    def canonical_firsts():
+        """The canonical first rows, one per weight w of a candidate
+        (w < n), ascending, each with C(n - 1, w), its weight's number of
+        candidates."""
+        return [(((1 << w) - 1) << 1, comb(n - 1, w)) for w in sorted(ok) if w < n]
 
     def switched():
         w = (n - m if (n - m) % 4 == 0 else n + m) // 2
@@ -446,13 +462,12 @@ def run(problem, max_n=None, log_branches=False):
             frozenset([w]),
         )
 
-    def reduced():
-        if regime:
-            return switched()
-        rest = set(cands).difference(reps)
-        order = reps + [c for c in cands if c in rest]
+    def reduced(cands):
+        reps = [c0 for c0, _ in canonical_firsts()]
         if n == 2:  # a first row alone completes the matrix
             return reps[:1], 0, 1
+        rest = set(cands).difference(reps)
+        order = reps + [c for c in cands if c in rest]
         nodes = 0
         for j, c0 in enumerate(reps):
             w = c0.bit_count()
@@ -465,7 +480,7 @@ def run(problem, max_n=None, log_branches=False):
                 return best, nodes, total
         return None, nodes, 0
 
-    def count():
+    def count(cands):
         set_sizes = range(1, n) if allow_repeat else (n - 1,)
         # every two candidates compatible (checked up to the first pair that
         # is not): K_s = C(k, s), with no DFS
@@ -474,11 +489,11 @@ def run(problem, max_n=None, log_branches=False):
             for i in range(k) for j in range(i + 1, k)
         ):
             return sum(comb(k, s) * comb(n - 2, s - 1) for s in set_sizes), 0
-        # per canonical first row: its index, the number of candidates of its
-        # weight, and per class in its pool the class's canonical second row,
-        # size and the pool of both
+        # per canonical first row: its index, the row, the number of
+        # candidates of its weight, and per class in its pool the class's
+        # canonical second row, size and the pool of both
         pools = []
-        for j, c0 in enumerate(reps):
+        for j, (c0, first_size) in enumerate(canonical_firsts()):
             w = c0.bit_count()
             pool = [x for x in compatible(c0, cands) if x != c0]
             sizes = Counter(_canonical(x, (1, w + 1, n)) for x in pool)
@@ -486,16 +501,16 @@ def run(problem, max_n=None, log_branches=False):
                 (rep, size, [x for x in compatible(rep, pool) if x != rep])
                 for rep, size in sorted(sizes.items())
             ]
-            pools.append((j, firsts[c0], classes))
+            pools.append((j, c0, first_size, classes))
         total = nodes = 0
         for s in set_sizes:
             s_k = 0  # s K_s
-            for j, first_size, classes in pools:
+            for j, c0, first_size, classes in pools:
                 inner = 0  # (s - 1) K_{s-1}(pool(c0))
                 for rep, size, order in classes:
                     k_t = 1  # K_0
                     if s > 2:
-                        cls = [(rep & reps[j]).bit_count(), rep.bit_count()]
+                        cls = [(rep & c0).bit_count(), rep.bit_count()]
                         label = {"s": s, "rep": j, "class": cls, "multiplier": size}
                         _, sub_nodes, k_t = traverse(
                             order, range(len(order)), "count", s - 2, False, label=label
@@ -509,17 +524,26 @@ def run(problem, max_n=None, log_branches=False):
             total += k_s * comb(n - 2, s - 1)
         return total, nodes
 
+    cands = None
     if not problem.symmetry:
-        best, nodes, total = full(problem.goal)
+        cands = listed()
+        best, nodes, total = full(cands, problem.goal)
     else:
         if problem.goal == "count":
-            total, nodes = count()
+            cands = listed()
+            total, nodes = count(cands)
             best, witness = None, total > 0
         else:
-            best, nodes, total = reduced()
+            if regime:  # reads no candidate list
+                best, nodes, total = switched()
+            else:
+                cands = listed()
+                best, nodes, total = reduced(cands)
             witness = best is not None and problem.goal == "first"
         if witness:  # the lex-least witness, by the unreduced first pass
-            best, first_nodes, _ = full("first")
+            if cands is None:
+                cands = listed()
+            best, first_nodes, _ = full(cands, "first")
             nodes += first_nodes
     if log_branches:
         outcome_log["branches"] = branch_records

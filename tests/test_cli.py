@@ -401,6 +401,16 @@ def test_domain_errors_exit_11(capsys):
         assert "exhausted" not in out
 
 
+def test_search_modulus_below_two_exits_11(capsys):
+    # an invalid modulus is an error, not a refutation (exit 1)
+    for m in ("1", "0", "-3"):
+        for mode in ("generic", "restricted"):
+            code, out, err = run_cli(capsys, "search", "7", m, "--mode", mode)
+            assert code == 11, (m, mode)
+            assert "error: modulus must be >= 2" in err
+            assert "exhausted" not in out
+
+
 def test_env_var_caps(capsys, monkeypatch):
     monkeypatch.setenv("MODHADAMARD_MATERIALIZE_CAP", "16")
     code, out, err = run_cli(capsys, "construct", "57", "7")

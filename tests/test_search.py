@@ -14,6 +14,7 @@ from modhadamard import (
     decide,
     j_minus_2i,
     run,
+    search,
     verify_mh,
 )
 
@@ -44,6 +45,17 @@ def test_problem_validation():
     for n, m in ((1, 5), (0, 5), (-4, 3)):
         with pytest.raises(ValueError, match="order must be >= 2"):
             SearchProblem(n, m)
+
+
+def test_modulus_below_two_is_an_error():
+    # an invalid modulus is no instance, not one to refute
+    for m in (1, 0, -3):
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            SearchProblem(7, m)
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            candidate_rows(7, m, "generic")
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            run(SearchProblem(7, m, goal="exhaust"))
 
 
 def test_limits():
@@ -118,9 +130,16 @@ def test_count_goal():
 def test_determinism_and_digest():
     a = run(SearchProblem(11, 5, "restricted", "exhaust"))
     b = run(SearchProblem(11, 5, "restricted", "exhaust"))
-    assert a.log["candidate_digest"] == b.log["candidate_digest"]
     assert a.nodes_visited == b.nodes_visited
     assert a.exhausted == b.exhausted
+    # the switched search builds no candidate list, so it logs no digest
+    assert "candidate_digest" not in a.log and "candidate_digest" not in b.log
+    # a run that builds the list, here the reduced search outside the
+    # regime, logs its digest
+    a = run(SearchProblem(9, 3, "generic", "exhaust"))
+    b = run(SearchProblem(9, 3, "generic", "exhaust"))
+    want = search._candidate_digest(candidate_rows(9, 3, "generic"))
+    assert a.log["candidate_digest"] == b.log["candidate_digest"] == want
 
 
 def test_first_8_2_generic():
@@ -177,7 +196,10 @@ def test_symmetry_reduction_agrees_with_full_search():
         assert (on.found is None) == (off.found is None), (n, m, mode)
         for out in (on, off):
             assert out.found is None or verify_mh(out.found, m).verdict
-        assert on.log["candidate_digest"] == off.log["candidate_digest"]
+        k = len(candidate_rows(n, m, mode))
+        assert on.candidate_row_count == off.candidate_row_count == k, (n, m, mode)
+        if "candidate_digest" in on.log:
+            assert on.log["candidate_digest"] == off.log["candidate_digest"]
         if on.found is None and on.candidate_row_count:
             refuted += 1
             assert on.nodes_visited < off.nodes_visited, (n, m, mode)
@@ -202,6 +224,34 @@ def test_two_level_reduction_agrees_at_orders_13_and_15():
         else:
             off = run(SearchProblem(n, m, "restricted", "exhaust", symmetry=False))
             assert (on.found is None) == (off.found is None), (n, m)
+
+
+def test_candidate_row_count_is_the_length_of_the_list():
+    # the count is a closed form; the list is built only where it is read
+    grid = [(n, m, mode) for n, m in _restricted_instances(15)
+            for mode in ("restricted", "generic")]
+    grid += [(n, m, "generic") for n in range(2, 9) for m in range(2, 10)]
+    for n, m, mode in grid:
+        k = len(candidate_rows(n, m, mode))
+        for goal in ("first", "count", "exhaust"):
+            out = run(SearchProblem(n, m, mode, goal))
+            assert out.candidate_row_count == k, (n, m, mode, goal)
+
+
+def test_switched_search_builds_no_candidate_list(monkeypatch):
+    instances = _restricted_instances(15) + [(23, 9), (23, 17), (19, 13)]
+    problems = [SearchProblem(n, m, "restricted", "exhaust") for n, m in instances]
+    want = [run(p) for p in problems]
+
+    def fail(*args):
+        raise AssertionError("the switched search read the candidate list")
+
+    monkeypatch.setattr(search, "candidate_rows", fail)
+    monkeypatch.setattr(search, "_candidate_digest", fail)
+    for p, w in zip(problems, want):
+        out = run(p)
+        got = (out.found, out.nodes_visited, out.solutions, out.candidate_row_count)
+        assert got == (w.found, w.nodes_visited, w.solutions, w.candidate_row_count), p
 
 
 def test_reduced_node_counts():

@@ -4,9 +4,10 @@ For each instance below this runs
 run(SearchProblem(n, m, "restricted", "exhaust"), log_branches=True) once
 and records the nodes visited, the candidate rows, the DFS starts (one log
 entry each), whether a witness was found, and the wall time of
-candidate_rows alone and of the whole run.  Node counts do not depend on
-the machine; the times do, so the machine is recorded beside them.  The
-results go into BENCH_search.json (see bench_file.py for the options).
+candidate_rows alone and of the whole run, which builds the candidate list
+only where it reads it.  Node counts do not depend on the machine; the
+times do, so the machine is recorded beside them.  The results go into
+BENCH_search.json (see bench_file.py for the options).
 """
 
 import time
@@ -17,8 +18,8 @@ INSTANCES = ((13, 5), (15, 7), (17, 9), (19, 11), (21, 13), (23, 15), (23, 9), (
 ABOUT = (
     "Restricted exhaust on fixed instances, written by tools/search_nodes.py: "
     "nodes, candidate rows and DFS starts are exact; candidates_s (candidate_rows "
-    "alone) and run_s (the whole run, candidate rows included) are one wall-clock "
-    "sample each on the machine named in the run."
+    "alone) and run_s (the whole run, which builds the candidate list only where "
+    "it reads it) are one wall-clock sample each on the machine named in the run."
 )
 
 
