@@ -13,9 +13,9 @@ import sys
 from functools import cache
 
 from . import search as search_mod
+from ._record import _jint, json_fields
 from .constructions import (
     MaterializeError,
-    _jint,
     check_constraints_1_to_4,
     family10_params,
     family11_params,
@@ -43,6 +43,22 @@ EXIT_ERROR = 11
 
 DEFAULT_Q_LIMIT = 3000
 DEFAULT_D_LIMIT = 400
+
+# decide's gates as nonexist shows them: (gate_walk's step, JSON key, text
+# label, text when the gate does not fire)
+_GATES = (
+    ("GcdBound", "gcd_bound", "gcd bound", "no obstruction"),
+    ("QuadNonResidue", "quadratic_residue", "quadratic residue", "no obstruction"),
+    ("SmallEvenRealHadamard", "small_even", "small even reduction", "no conclusion"),
+    ("Switching", "switching", "switching", "no obstruction"),
+)
+
+# design-params' families: the parameter function, and the arguments it
+# takes as its usage error names them, after the colon
+_FAMILIES = {
+    "10": (family10_params, "three arguments: q d e"),
+    "11": (family11_params, "two arguments: q e"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +118,7 @@ def _cmd_construct(args):
     recipe = plan(args.n, args.m)
     if recipe is None:
         if args.format == "json":
-            _emit({"m": args.m, "n": _jint(args.n), "recipe": None})
+            _emit({"m": _jint(args.m), "n": _jint(args.n), "recipe": None})
         else:
             print("no construction known for MH(%d, %d)" % (args.n, args.m))
         return EXIT_UNKNOWN
@@ -114,7 +130,7 @@ def _cmd_construct(args):
         note = str(exc)
     if args.format == "json":
         payload = {
-            "m": args.m,
+            "m": _jint(args.m),
             "n": _jint(args.n),
             "recipe": recipe_to_json(recipe),
             "materialized": mat is not None,
@@ -140,19 +156,12 @@ def _cmd_verify(args):
         m = meta if args.m is None else args.m
         report = verify_mh(obj, m)
         ok = report.verdict
-        payload = {"kind": "matrix", "m": m, "n": obj.n, "verified": ok}
+        payload = {"kind": "matrix", "m": _jint(m), "n": obj.n, "verified": ok}
     else:
         if args.m is not None:
             meta = DesignParams(meta.v, meta.k, meta.lam, args.m)
         ok = verify_design(obj, meta)
-        payload = {
-            "kind": "design",
-            "lambda": meta.lam,
-            "k": meta.k,
-            "m": meta.modulus,
-            "v": meta.v,
-            "verified": ok,
-        }
+        payload = dict(json_fields(meta, {"modulus": "m"}), kind="design", verified=ok)
     if args.format == "json":
         _emit(payload)
     else:
@@ -164,19 +173,9 @@ def _cmd_search(args):
     problem = search_mod.SearchProblem(args.n, args.m, args.mode, args.goal)
     outcome = search_mod.run(problem)  # run verifies any witness it returns
     if args.format == "json":
-        payload = {
-            "candidate_row_count": outcome.candidate_row_count,
-            "exhausted": outcome.exhausted,
-            "found": None if outcome.found is None else format_rows(outcome.found),
-            "goal": args.goal,
-            "log": outcome.log,
-            "m": args.m,
-            "mode": args.mode,
-            "n": args.n,
-            "nodes_visited": outcome.nodes_visited,
-            "solutions": outcome.solutions,
-        }
-        _emit(payload)
+        found = None if outcome.found is None else format_rows(outcome.found)
+        asked = json_fields(problem, drop=("symmetry",))
+        _emit(dict(json_fields(outcome), **asked, found=found))
     else:
         print(
             "search MH(%d, %d) %s/%s: %d candidates, %d nodes"
@@ -214,46 +213,26 @@ def _cmd_nonexist(args):
     except NotApplicable as exc:
         report = str(exc)
     if args.format == "json":
-        payload = {
-            "established": established,
-            "gcd_bound": findings["GcdBound"],
-            "m": args.m,
-            "n": args.n,
-            "quadratic_residue": findings["QuadNonResidue"],
-            "small_even": findings["SmallEvenRealHadamard"],
-            "switching": findings["Switching"],
-        }
+        payload = {key: findings[step] for step, key, _, _ in _GATES}
+        payload.update(established=established, m=_jint(args.m), n=_jint(args.n))
         if isinstance(report, str):
-            payload["delta_test"] = {"applicable": False, "why": report}
+            delta = {"applicable": False, "why": report}
         else:
-            payload["delta_test"] = {
-                "Delta": _jint(report.Delta),
-                "admissible": report.admissible,
-                "applicable": True,
-                "d_minus": None if report.d_minus is None else str(report.d_minus),
-                "d_plus": None if report.d_plus is None else str(report.d_plus),
-                "sqrt_Delta": None
-                if report.sqrt_Delta is None
-                else _jint(report.sqrt_Delta),
-            }
+            delta = dict(json_fields(report, drop=("n", "m", "row_profile")), applicable=True)
             if report.row_profile is not None:
                 alpha, beta, a, offset = report.row_profile
-                payload["delta_test"]["row_profile"] = {
+                delta["row_profile"] = {
                     "a": str(a),
                     "alpha_count": alpha,
                     "b_minus_c_offset": str(offset),
                     "beta_count": beta,
                 }
+        payload["delta_test"] = delta
         _emit(payload)
     else:
         print("nonexistence tests for MH(%d, %d):" % (args.n, args.m))
-        print("  gcd bound: %s" % (findings["GcdBound"] or "no obstruction"))
-        print("  quadratic residue: %s" % (findings["QuadNonResidue"] or "no obstruction"))
-        print(
-            "  small even reduction: %s"
-            % (findings["SmallEvenRealHadamard"] or "no conclusion")
-        )
-        print("  switching: %s" % (findings["Switching"] or "no obstruction"))
+        for step, _, label, idle in _GATES:
+            print("  %s: %s" % (label, findings[step] or idle))
         if isinstance(report, str):
             print("  Delta test: not applicable (%s)" % report)
         else:
@@ -292,20 +271,9 @@ def _cmd_condition1(args):
             {
                 "d_limit": d_limit,
                 "missing": missing,
-                "p": p,
+                "p": _jint(p),
                 "q_limit": q_limit,
-                "rows": [
-                    {
-                        "d": w.d,
-                        "delta": w.delta,
-                        "probabilistic": w.probabilistic,
-                        "q": w.q,
-                        "r": _jint(w.r),
-                        "r_base": _jint(w.r_base),
-                        "r_exponent": w.r_exponent,
-                    }
-                    for w in rows
-                ],
+                "rows": [json_fields(w, drop=("p",)) for w in rows],
             }
         )
     else:
@@ -326,34 +294,12 @@ def _cmd_design_params(args):
         raise ValueError("--n and --parity apply only with --p")
     if args.p is not None and args.n is None:
         raise ValueError("--p needs --n for the final residue condition")
-    vals = args.values
-    if args.family == "10":
-        if len(vals) != 3:
-            raise ValueError("family 10 needs three arguments: q d e")
-        params = family10_params(*vals)
-        payload = {
-            "e": params.e,
-            "family": "10",
-            "k": _jint(params.k),
-            "lambda": _jint(params.lam),
-            "q": params.q,
-            "r": _jint(params.r),
-            "r_is_prime_power": params.r_is_prime_power,
-            "repunit_degree": params.d,
-            "v": _jint(params.v),
-        }
-    else:
-        if len(vals) != 2:
-            raise ValueError("family 11 needs two arguments: q e")
-        params = family11_params(*vals)
-        payload = {
-            "e": params.e,
-            "family": "11",
-            "k": _jint(params.k),
-            "lambda": _jint(params.lam),
-            "q": params.q,
-            "v": _jint(params.v),
-        }
+    family, takes = _FAMILIES[args.family]
+    if len(args.values) != len(takes.partition(": ")[2].split()):
+        raise ValueError("family %s needs %s" % (args.family, takes))
+    params = family(*args.values)
+    payload = json_fields(params, rename={"d": "repunit_degree"})
+    payload["family"] = args.family
     if args.p is not None:
         parity = tuple(args.parity) if args.parity else (4, 3)
         payload["constraints"] = check_constraints_1_to_4(params, args.p, args.n, parity)

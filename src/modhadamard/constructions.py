@@ -17,7 +17,7 @@ from importlib import resources
 from math import gcd, isqrt, prod
 from operator import and_
 
-from ._record import Record
+from ._record import Record, _jint
 from .matrices import (
     DesignParams,
     IncidenceMatrix,
@@ -165,19 +165,26 @@ def catalog_names():
     return sorted(_load_json("catalog.json"))
 
 
-@lru_cache(maxsize=None)
 def catalog_design(name):
     """Load one bundled design, verify it, return (IncidenceMatrix, DesignParams).
 
     Parameters come back with modulus 0: the incidence matrix satisfies its
     equations exactly, hence at every modulus.
     """
+    return _catalog(name)[:2]
+
+
+@lru_cache(maxsize=None)
+def _catalog(name):
+    """catalog_design(name) and the column rotations of its group's
+    development, none for a design given by its rows."""
     table = _load_json("catalog.json")
     if name not in table:
         raise ValueError("unknown catalog design %r" % name)
     entry = table[name]
     v, k, lam = entry["v"], entry["k"], entry["lambda"]
     group = entry["group"]
+    rotations = ()
     if group is None:
         mat = IncidenceMatrix(v, _read_rows(entry["elements"], v, "01"))
     else:
@@ -190,11 +197,12 @@ def catalog_design(name):
                 raise ValueError("catalog %s: %r is not in the group" % (name, e))
             subset.append(index[t])
         mat = _develop(mods, subset)
+        rotations = _develop_rotations(mods)
     params = DesignParams(v, k, lam, 0)
     check = verify_design if group is None else _development_ok
     if not check(mat, params):
         raise ValueError("catalog design %s fails verification" % name)
-    return mat, params
+    return mat, params, rotations
 
 
 @lru_cache(maxsize=None)
@@ -211,12 +219,9 @@ def two_circulant(name):
     entry = table[name]
     b = entry["block_size"]
     m = entry["modulus"]
-    minus = []
-    for line in entry["first_rows"]:
-        if len(line) != b:
-            raise ValueError("two-circulant %s: bad row length" % name)
-        minus.append({j for j, ch in enumerate(line) if ch != "+"})
-    mat = _two_circulant(b, *minus)
+    # the first rows of A and B, read as the catalog's rows are: a set bit is a -1
+    firsts = _read_rows(entry["first_rows"], b, "+-", count=2)
+    mat = _two_circulant(b, *({j for j in range(b) if row >> j & 1} for row in firsts))
     if not verify_mh(mat, m, _two_circulant_rotations(b)).verdict:
         raise ValueError("two-circulant %s fails verification" % name)
     return mat, m
@@ -333,7 +338,7 @@ def paley_design(q):
     """
     p, k = _paley_field(q, prime=False)
     mat = _develop((p,) * k, _nonzero_squares(q))
-    params = DesignParams(q, (q - 1) // 2, (q - 3) // 4, 0)
+    params = recipe_design_params(seed_paley_design(q))
     if not _development_ok(mat, params):
         raise RuntimeError("paley design failed self-check at q=%d" % q)
     return mat, params
@@ -621,17 +626,15 @@ def iterate(base, design, l, modulus):
 # serialization
 
 
-def _jint(x):
-    """x for JSON: an integer past exact double range goes out as a string."""
-    return x if -(2**53) < x < 2**53 else str(x)
-
-
-# recipe JSON is read and written by one Python frame per tree level (map,
-# not a list comprehension, which is a frame of its own before Python 3.12),
-# so a deeper recipe is refused with ValueError before Python's recursion
-# limit (1,000 frames) would raise RecursionError; plan's recipes are about
-# log2(n) levels deep, a Double per halving of n
-_MAX_RECIPE_DEPTH = 500
+# a recipe deeper than this is refused with ValueError, before Python's
+# recursion limit (1,000 frames) raises RecursionError.  Recipe JSON is read
+# and written by one Python frame per tree level (map, not a list
+# comprehension, which is a frame of its own before Python 3.12), and
+# json.dumps spends two levels of that limit per tree level (the node and
+# its children list), so a verdict that holds a recipe at the bound leaves
+# about 180 frames to its caller.  plan's recipes are about log2(n) levels
+# deep, a Double per halving of n
+_MAX_RECIPE_DEPTH = 400
 
 
 def _check_depth(depth):
@@ -641,7 +644,7 @@ def _check_depth(depth):
 
 def recipe_to_json(recipe):
     """The recipe as a JSON object (recipe.schema.json).  A recipe more than
-    500 levels deep raises ValueError."""
+    400 levels deep raises ValueError."""
     return _to_json(recipe, 1)
 
 
@@ -677,7 +680,7 @@ def recipe_from_json(obj):
     """The recipe of a recipe_to_json object, rebuilt by its constructors.
     A missing key, a value of the wrong JSON type (recipe.schema.json), an
     unknown node, a wrong number of args or children or a tree more than
-    500 levels deep raises ValueError, naming what is wrong."""
+    400 levels deep raises ValueError, naming what is wrong."""
     return _from_json(obj, 1)
 
 
@@ -779,9 +782,7 @@ def _build(recipe):
         mat = two_circulant(args[0])[0]
         return mat, _two_circulant_rotations(mat.n // 2)
     if node == "CatalogDesign":
-        D = catalog_design(args[0])[0]
-        group = _load_json("catalog.json")[args[0]]["group"]
-        rotations = () if group is None else _develop_rotations(tuple(group))
+        D, _, rotations = _catalog(args[0])
         return (D if recipe.kind == "design" else design_to_mh(D)), rotations
     if node == "PaleyDesign":
         p, k = _paley_field(args[0], prime=False)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from . import search as search_mod
-from ._record import Record
+from ._record import Record, json_fields
 from .constructions import _chain, _family10_giant, plan, recipe_to_json
 from .numtheory import half_pow_coeff, is_perfect_square, is_prime, is_quadratic_residue
 
@@ -312,13 +312,11 @@ def decide(n, m, search_cap=None):
 
 
 def verdict_to_json(v):
-    out = {"n": v.n, "m": v.m, "status": v.status}
-    if v.reason is not None:
-        out["reason"] = v.reason
-    if v.threshold_note is not None:
-        out["threshold_note"] = v.threshold_note
-    if v.conjecture_prediction is not None:
-        out["conjecture_prediction"] = v.conjecture_prediction
+    """The verdict as a JSON object (verdict.schema.json), with no null
+    field: n and m past 2^53 are strings, and the certificate is its
+    recipe."""
+    fields = json_fields(v, drop=("certificate",)).items()
+    out = {key: value for key, value in fields if value is not None}
     if v.certificate is not None:
         out["certificate"] = {"kind": "recipe", "recipe": recipe_to_json(v.certificate)}
     return out

@@ -560,13 +560,14 @@ def parse_matrix_text(text):
     raise ValueError("header must be 'n m' or 'v k lambda m'")
 
 
-def _read_rows(lines, n, alphabet):
-    """Bit-packed rows from text rows over a two-letter alphabet; the second
-    letter is a set bit, column 0 comes first.  Each distinct line is
-    checked and converted once, in order of first appearance, so an error
-    names the first offending row."""
-    if len(lines) != n:
-        raise ValueError("expected %d rows, got %d" % (n, len(lines)))
+def _read_rows(lines, n, alphabet, count=None):
+    """Bit-packed rows from count (by default n) text rows of n letters over
+    a two-letter alphabet; the second letter is a set bit, column 0 comes
+    first.  Each distinct line is checked and converted once, in order of
+    first appearance, so an error names the first offending row."""
+    count = n if count is None else count
+    if len(lines) != count:
+        raise ValueError("expected %d rows, got %d" % (count, len(lines)))
     letters = alphabet.encode()
     digits = bytes.maketrans(letters, b"01")
     bits = dict.fromkeys(lines)

@@ -52,7 +52,7 @@ from modhadamard.constructions import (
     _load_json,
     _nonzero_squares,
 )
-from modhadamard import matrices
+from modhadamard import constructions, matrices
 from modhadamard.matrices import _orbits, _permutations, _rotation
 
 from conftest import SEED
@@ -595,6 +595,28 @@ def test_two_circulant_block():
     assert (r.order, r.modulus) == (26, 5)
 
 
+def test_two_circulant_rows_are_read_like_catalog_rows(monkeypatch):
+    # the first rows are checked as a catalog design's rows are: a letter
+    # other than + and -, or a third row, is refused
+    entry = _load_json("two_circulant.json")["two_circ_26_5"]
+    a_row, b_row = entry["first_rows"]
+    bad_rows = (
+        ([a_row.replace("-", "x", 1), b_row], "bad character in row '\\+x\\+"),
+        ([a_row, b_row, b_row], "expected 2 rows, got 3"),
+    )
+    for rows, message in bad_rows:
+        table = {"two_circ_26_5": dict(entry, first_rows=rows)}
+        monkeypatch.setattr(constructions, "_load_json", lambda name: table)
+        two_circulant.cache_clear()
+        try:
+            with pytest.raises(ValueError, match=message):
+                two_circulant("two_circ_26_5")
+        finally:
+            monkeypatch.undo()
+            two_circulant.cache_clear()
+    assert two_circulant("two_circ_26_5")[0].n == 26
+
+
 def test_recipe_json_round_trip():
     for n, m in [(57, 7), (118, 7), (26, 5), (31, 5), (20, 5), (2224, 7)]:
         r = plan(n, m)
@@ -695,21 +717,21 @@ def test_recipe_json_depth_bound():
     deep = seed_j_minus_2i(4)
     for _ in range(1200):
         deep = double(deep)
-    with pytest.raises(ValueError, match="more than 500 levels deep"):
+    with pytest.raises(ValueError, match="more than 400 levels deep"):
         recipe_to_json(deep)
     obj = None  # the same recipe as JSON, built by hand from the bottom up
     for node in reversed(_chain(deep)):
         obj = {"node": node.node, "kind": node.kind, "args": list(node.args),
                "order": str(node.order), "modulus": node.modulus,
                "children": [obj] if obj else []}
-    with pytest.raises(ValueError, match="more than 500 levels deep"):
+    with pytest.raises(ValueError, match="more than 400 levels deep"):
         recipe_from_json(obj)
-    # 500 levels, the bound, round-trip; Recipe == itself recurses, so the
+    # 400 levels, the bound, round-trip; Recipe == itself recurses, so the
     # chains are compared node by node
-    top = _chain(deep)[701]
+    top = _chain(deep)[801]
     back = recipe_from_json(recipe_to_json(top))
     pairs = list(zip(_chain(back), _chain(top), strict=True))
-    assert len(pairs) == 500
+    assert len(pairs) == 400
     for got, want in pairs:
         assert (got.node, got.args, got.order, got.modulus) == (
             want.node, want.args, want.order, want.modulus)

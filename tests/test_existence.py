@@ -5,6 +5,7 @@ from fractions import Fraction
 from importlib import resources
 from math import gcd, lcm
 
+import jsonschema
 import pytest
 
 import modhadamard
@@ -470,3 +471,13 @@ def test_verdict_json_shapes():
         "status": "NotExists",
         "reason": "SmallEvenRealHadamard",
     }
+
+
+def test_verdict_json_big_integers_are_strings():
+    # past 2^53 an int goes out as a string, as in recipe and construct JSON
+    n = 3 * 2**100
+    doc = verdict_to_json(decide(n, 9))
+    assert doc["n"] == str(n) and doc["m"] == 9
+    assert doc["status"] == "Exists"
+    schema = resources.files("modhadamard.data").joinpath("verdict.schema.json").read_text()
+    jsonschema.validate(doc, json.loads(schema))
